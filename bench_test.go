@@ -274,9 +274,11 @@ func BenchmarkSequencePairPacking(b *testing.B) {
 		w[i] = 1 + math.Mod(float64(i)*0.37, 3)
 		h[i] = 1 + math.Mod(float64(i)*0.73, 3)
 	}
+	ws := anneal.NewPackWork(n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Pack(w, h)
+		sp.Pack(w, h, ws)
 	}
 }
 

@@ -75,7 +75,8 @@ func GenerateDelta(nl *Netlist, seed int64, nops int) Delta {
 //
 // Only MethodSDP supports warm re-entry; Resolve rejects other methods.
 // prev may come from any method as long as it carries one center per
-// module of nl (legalized centers are preferred over global ones).
+// module of nl. Its global-stage centers are preferred over the legalized
+// ones when both cover nl (see prevCenters).
 func Resolve(nl *Netlist, prev *Floorplan, d Delta, cfg Config) (*Floorplan, *Netlist, error) {
 	return ResolveContext(context.Background(), nl, prev, d, cfg)
 }

@@ -15,7 +15,7 @@ func TestSeqPairKnownPackings(t *testing.T) {
 	sp := SeqPair{S1: []int{0, 1}, S2: []int{0, 1}}
 	w := []float64{1, 1}
 	h := []float64{1, 1}
-	p := sp.Pack(w, h)
+	p := sp.Pack(w, h, NewPackWork(len(w)))
 	if p.X[0] != 0 || p.X[1] != 1 || p.Y[0] != 0 || p.Y[1] != 0 {
 		t.Fatalf("horizontal packing wrong: %+v", p)
 	}
@@ -24,7 +24,7 @@ func TestSeqPairKnownPackings(t *testing.T) {
 	}
 	// (10, 01): 0 follows 1 in S1 and precedes 1 in S2 → 0 below 1.
 	sp = SeqPair{S1: []int{1, 0}, S2: []int{0, 1}}
-	p = sp.Pack(w, h)
+	p = sp.Pack(w, h, NewPackWork(len(w)))
 	if p.Width != 1 || p.Height != 2 {
 		t.Fatalf("vertical bbox = %g x %g, want 1 x 2", p.Width, p.Height)
 	}
@@ -42,7 +42,7 @@ func TestSeqPairThreeModuleLShape(t *testing.T) {
 	sp := SeqPair{S1: []int{2, 0, 1}, S2: []int{0, 1, 2}}
 	w := []float64{2, 1, 1}
 	h := []float64{1, 1, 1}
-	p := sp.Pack(w, h)
+	p := sp.Pack(w, h, NewPackWork(len(w)))
 	rects := p.Rects(w, h)
 	// No overlaps.
 	for i := 0; i < 3; i++ {
@@ -74,7 +74,7 @@ func TestSeqPairPackingNoOverlapProperty(t *testing.T) {
 			w[i] = 0.5 + rng.Float64()*3
 			h[i] = 0.5 + rng.Float64()*3
 		}
-		p := sp.Pack(w, h)
+		p := sp.Pack(w, h, NewPackWork(len(w)))
 		rects := p.Rects(w, h)
 		for i := 0; i < n; i++ {
 			if p.X[i] < 0 || p.Y[i] < 0 {
@@ -115,7 +115,7 @@ func TestSeqPairPackingIsCompact(t *testing.T) {
 			sw += w[i]
 			sh += h[i]
 		}
-		p := sp.Pack(w, h)
+		p := sp.Pack(w, h, NewPackWork(len(w)))
 		if p.Width*p.Height < area-1e-9 {
 			t.Fatalf("packing area %g below module area %g", p.Width*p.Height, area)
 		}
@@ -153,7 +153,7 @@ func TestFromPlacementPreservesRelations(t *testing.T) {
 	}
 	w := []float64{1, 1, 1, 1}
 	h := []float64{1, 1, 1, 1}
-	p := sp.Pack(w, h)
+	p := sp.Pack(w, h, NewPackWork(len(w)))
 	// Module 1 right of 0, module 2 above 0.
 	if !(p.X[0] < p.X[1]) || !(p.Y[0] < p.Y[2]) {
 		t.Fatalf("relations lost: %+v", p)
@@ -179,6 +179,10 @@ func TestFenwickMax(t *testing.T) {
 	f.update(3, 1) // lower value must not overwrite
 	if got := f.prefixMax(4); got != 5 {
 		t.Fatalf("prefixMax(4) after weak update = %g, want 5", got)
+	}
+	f.reset()
+	if got := f.prefixMax(8); got != 0 {
+		t.Fatalf("prefixMax(8) after reset = %g, want 0", got)
 	}
 }
 
@@ -298,7 +302,7 @@ func TestPackDimensionsDoNotMutate(t *testing.T) {
 	sp := SeqPair{S1: []int{0, 1}, S2: []int{0, 1}}
 	w := []float64{1, 2}
 	h := []float64{3, 4}
-	sp.Pack(w, h)
+	sp.Pack(w, h, NewPackWork(len(w)))
 	if w[0] != 1 || w[1] != 2 || h[0] != 3 || h[1] != 4 {
 		t.Fatal("Pack mutated its inputs")
 	}
@@ -310,5 +314,33 @@ func TestCloneIndependence(t *testing.T) {
 	cp.S1[0], cp.S1[2] = cp.S1[2], cp.S1[0]
 	if sp.S1[0] != 0 {
 		t.Fatal("Clone shares storage with the original")
+	}
+}
+
+// TestPackWorkReuseMatchesFresh packs many random sequence pairs through
+// one workspace and checks each packing against a fresh workspace bit for
+// bit: nothing from an earlier packing may leak into a later one.
+func TestPackWorkReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 12
+	ws := NewPackWork(n)
+	w, h := make([]float64, n), make([]float64, n)
+	for trial := 0; trial < 50; trial++ {
+		sp := NewSeqPair(n)
+		rng.Shuffle(n, func(a, b int) { sp.S1[a], sp.S1[b] = sp.S1[b], sp.S1[a] })
+		rng.Shuffle(n, func(a, b int) { sp.S2[a], sp.S2[b] = sp.S2[b], sp.S2[a] })
+		for i := range w {
+			w[i] = 0.5 + rng.Float64()*3
+			h[i] = 0.5 + rng.Float64()*3
+		}
+		got, want := sp.Pack(w, h, ws), sp.Pack(w, h, NewPackWork(n))
+		if got.Width != want.Width || got.Height != want.Height {
+			t.Fatalf("trial %d: reused %gx%g, fresh %gx%g", trial, got.Width, got.Height, want.Width, want.Height)
+		}
+		for i := range w {
+			if got.X[i] != want.X[i] || got.Y[i] != want.Y[i] {
+				t.Fatalf("trial %d module %d: reused (%g,%g), fresh (%g,%g)", trial, i, got.X[i], got.Y[i], want.X[i], want.Y[i])
+			}
+		}
 	}
 }

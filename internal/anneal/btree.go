@@ -276,6 +276,7 @@ func SolveBTree(nl *netlist.Netlist, opt Options) (*Result, error) {
 		perm: rng.Perm(n),
 		w:    make([]float64, n), h: make([]float64, n),
 		areas: make([]float64, n), minW: make([]float64, n), maxW: make([]float64, n),
+		ev: netlist.NewHPWLEval(nl),
 	}
 	for i, m := range nl.Modules {
 		st.areas[i] = m.MinArea
@@ -340,6 +341,7 @@ type btState struct {
 	maxW  []float64
 	hpwl0 float64
 	cache []geom.Point
+	ev    *netlist.HPWLEval
 }
 
 type btSnapshot struct {
@@ -366,7 +368,7 @@ func (st *btState) hpwl() float64 { return st.nl.HPWL(st.centers()) }
 
 func (st *btState) cost() float64 {
 	p := st.tree.Pack(st.perm, st.w, st.h)
-	hp := st.nl.HPWL(st.centersFromPacking(p))
+	hp := st.ev.HPWL(st.centersFromPacking(p))
 	violW := math.Max(0, p.Width/st.opt.Outline.W()-1)
 	violH := math.Max(0, p.Height/st.opt.Outline.H()-1)
 	lambda := st.opt.WirelengthWeight

@@ -107,9 +107,8 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 		minTemp = 1e-5 * t0
 	}
 
-	best := st.snapshot()
-	bestCost := cost
-	accepted := 0
+	st.cur, st.bestCost = cost, cost
+	st.best = st.snapshot()
 	steps := 0
 	var cancelErr error
 	tracing := opt.Trace != nil && opt.Trace.Enabled()
@@ -124,8 +123,8 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 			opt.Trace.Record(trace.Event{
 				Solver: "sa", Kind: trace.KindFinal, Iter: steps, Status: status,
 				Fields: []trace.Field{
-					{Key: "cost", Val: bestCost},
-					{Key: "accepted", Val: float64(accepted)},
+					{Key: "cost", Val: st.bestCost},
+					{Key: "accepted", Val: float64(st.accepted)},
 				},
 			})
 		}()
@@ -147,40 +146,48 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 			}
 		}
 		for mv := 0; mv < opt.MovesPerTemp; mv++ {
-			undo := st.proposeMove(rng)
-			newCost := st.cost()
-			dc := newCost - cost
-			if dc <= 0 || rng.Float64() < math.Exp(-dc/temp) {
-				cost = newCost
-				accepted++
-				if cost < bestCost {
-					bestCost = cost
-					best = st.snapshot()
-				}
-			} else {
-				undo()
-			}
+			st.step(rng, temp)
 		}
 		if tracing {
 			opt.Trace.Record(trace.Event{
 				Solver: "sa", Kind: trace.KindIter, Iter: steps,
 				Fields: []trace.Field{
 					{Key: "temp", Val: temp},
-					{Key: "cost", Val: cost},
-					{Key: "best", Val: bestCost},
-					{Key: "accepted", Val: float64(accepted)},
+					{Key: "cost", Val: st.cur},
+					{Key: "best", Val: st.bestCost},
+					{Key: "accepted", Val: float64(st.accepted)},
 				},
 			})
 		}
 		steps++
 	}
-	st.restore(best)
+	st.restore(st.best)
 	res := st.result()
-	res.Moves = accepted
+	res.Moves = st.accepted
 	return res, cancelErr
 }
 
-// saState is the annealing state: a sequence pair plus per-module widths.
+// Move kinds recorded in saUndo.
+const (
+	moveNone    = iota // no change (a reshape of a module with a fixed width)
+	moveSwapS1         // swap of two positions in S1
+	moveSwapAll        // swap of two modules in both sequences
+	moveReshape        // new width for one soft module
+)
+
+// saUndo records the last proposed move so it can be taken back.
+type saUndo struct {
+	kind       int
+	a, b       int // S1 positions
+	pa, pb     int // S2 positions (moveSwapAll)
+	ma, mb     int // modules at S1 positions a and b before the move
+	i          int // reshaped module
+	oldW, oldH float64
+}
+
+// saState is the annealing state: a sequence pair plus per-module widths,
+// the evaluation workspaces, and the schedule's running costs. Nothing in
+// the move loop allocates.
 type saState struct {
 	nl     *netlist.Netlist
 	opt    *Options
@@ -190,7 +197,14 @@ type saState struct {
 	minW   []float64
 	maxW   []float64
 	hpwl0  float64 // normalization
+	pw     *PackWork
+	ev     *netlist.HPWLEval
 	nCache []geom.Point
+	undo   saUndo
+
+	cur, bestCost float64 // current and best cost
+	best          saSnapshot
+	accepted      int
 }
 
 type saSnapshot struct {
@@ -202,12 +216,15 @@ func newSAState(nl *netlist.Netlist, opt *Options, rng *rand.Rand) *saState {
 	n := nl.N()
 	st := &saState{
 		nl: nl, opt: opt,
-		sp:    NewSeqPair(n),
-		w:     make([]float64, n),
-		h:     make([]float64, n),
-		areas: make([]float64, n),
-		minW:  make([]float64, n),
-		maxW:  make([]float64, n),
+		sp:     NewSeqPair(n),
+		w:      make([]float64, n),
+		h:      make([]float64, n),
+		areas:  make([]float64, n),
+		minW:   make([]float64, n),
+		maxW:   make([]float64, n),
+		pw:     NewPackWork(n),
+		ev:     netlist.NewHPWLEval(nl),
+		nCache: make([]geom.Point, n),
 	}
 	if opt.Init != nil {
 		st.sp = opt.Init.Clone()
@@ -223,74 +240,105 @@ func newSAState(nl *netlist.Netlist, opt *Options, rng *rand.Rand) *saState {
 		st.w[i] = math.Sqrt(m.MinArea) // square start
 		st.h[i] = m.MinArea / st.w[i]
 	}
-	st.hpwl0 = 1
-	st.hpwl0 = math.Max(st.currentHPWL(), 1)
+	st.pack()
+	st.hpwl0 = math.Max(st.ev.HPWL(st.nCache), 1)
 	return st
 }
 
-func (st *saState) currentHPWL() float64 {
-	p := st.sp.Pack(st.w, st.h)
-	if st.nCache == nil {
-		st.nCache = make([]geom.Point, len(st.w))
-	}
+// pack packs the current sequence pair and dimensions and leaves the
+// module centers in nCache.
+//
+//sdpvet:hotpath
+func (st *saState) pack() Packing {
+	p := st.sp.Pack(st.w, st.h, st.pw)
 	for i := range st.w {
 		st.nCache[i] = geom.Point{
 			X: st.opt.Outline.MinX + p.X[i] + st.w[i]/2,
 			Y: st.opt.Outline.MinY + p.Y[i] + st.h[i]/2,
 		}
 	}
-	return st.nl.HPWL(st.nCache)
+	return p
 }
 
 // cost is the normalized annealing objective: wirelength plus a strongly
 // weighted outline-violation term (Adya–Markov style).
+//
+//sdpvet:hotpath
 func (st *saState) cost() float64 {
-	p := st.sp.Pack(st.w, st.h)
-	if st.nCache == nil {
-		st.nCache = make([]geom.Point, len(st.w))
-	}
-	for i := range st.w {
-		st.nCache[i] = geom.Point{
-			X: st.opt.Outline.MinX + p.X[i] + st.w[i]/2,
-			Y: st.opt.Outline.MinY + p.Y[i] + st.h[i]/2,
-		}
-	}
-	hpwl := st.nl.HPWL(st.nCache)
+	p := st.pack()
+	hpwl := st.ev.HPWL(st.nCache)
 	violW := math.Max(0, p.Width/st.opt.Outline.W()-1)
 	violH := math.Max(0, p.Height/st.opt.Outline.H()-1)
 	lambda := st.opt.WirelengthWeight
 	return lambda*hpwl/st.hpwl0 + (1-lambda)*4*(violW+violH+violW*violH)
 }
 
-// proposeMove applies a random move and returns its undo closure.
-func (st *saState) proposeMove(rng *rand.Rand) func() {
+// step proposes one move and accepts it by the Metropolis rule at temp,
+// or takes it back; an accepted move that improves on the best cost so far
+// is saved as the new best.
+//
+//sdpvet:hotpath
+func (st *saState) step(rng *rand.Rand, temp float64) {
+	st.proposeMove(rng)
+	newCost := st.cost()
+	dc := newCost - st.cur
+	if dc <= 0 || rng.Float64() < math.Exp(-dc/temp) {
+		st.cur = newCost
+		st.accepted++
+		if st.cur < st.bestCost {
+			st.bestCost = st.cur
+			st.saveTo(&st.best)
+		}
+	} else {
+		st.undoMove()
+	}
+}
+
+// proposeMove applies a random move and records its undo in st.undo.
+//
+//sdpvet:hotpath
+func (st *saState) proposeMove(rng *rand.Rand) {
 	n := len(st.w)
+	u := &st.undo
 	switch rng.Intn(3) {
 	case 0: // swap two positions in S1
 		a, b := rng.Intn(n), rng.Intn(n)
 		st.sp.S1[a], st.sp.S1[b] = st.sp.S1[b], st.sp.S1[a]
-		return func() { st.sp.S1[a], st.sp.S1[b] = st.sp.S1[b], st.sp.S1[a] }
+		*u = saUndo{kind: moveSwapS1, a: a, b: b}
 	case 1: // swap the same two modules in both sequences
 		a, b := rng.Intn(n), rng.Intn(n)
 		ma, mb := st.sp.S1[a], st.sp.S1[b]
 		pa, pb := indexOf(st.sp.S2, ma), indexOf(st.sp.S2, mb)
 		st.sp.S1[a], st.sp.S1[b] = mb, ma
 		st.sp.S2[pa], st.sp.S2[pb] = mb, ma
-		return func() {
-			st.sp.S1[a], st.sp.S1[b] = ma, mb
-			st.sp.S2[pa], st.sp.S2[pb] = ma, mb
-		}
+		*u = saUndo{kind: moveSwapAll, a: a, b: b, pa: pa, pb: pb, ma: ma, mb: mb}
 	default: // reshape a soft module
 		i := rng.Intn(n)
-		oldW, oldH := st.w[i], st.h[i]
 		if st.maxW[i] <= st.minW[i] {
-			return func() {}
+			*u = saUndo{kind: moveNone}
+			return
 		}
+		*u = saUndo{kind: moveReshape, i: i, oldW: st.w[i], oldH: st.h[i]}
 		step := (st.maxW[i] - st.minW[i]) / float64(st.opt.AspectChoices-1)
 		choice := st.minW[i] + float64(rng.Intn(st.opt.AspectChoices))*step
 		st.w[i] = choice
 		st.h[i] = st.areas[i] / choice
-		return func() { st.w[i], st.h[i] = oldW, oldH }
+	}
+}
+
+// undoMove takes back the move proposeMove last applied.
+//
+//sdpvet:hotpath
+func (st *saState) undoMove() {
+	u := &st.undo
+	switch u.kind {
+	case moveSwapS1:
+		st.sp.S1[u.a], st.sp.S1[u.b] = st.sp.S1[u.b], st.sp.S1[u.a]
+	case moveSwapAll:
+		st.sp.S1[u.a], st.sp.S1[u.b] = u.ma, u.mb
+		st.sp.S2[u.pa], st.sp.S2[u.pb] = u.ma, u.mb
+	case moveReshape:
+		st.w[u.i], st.h[u.i] = u.oldW, u.oldH
 	}
 }
 
@@ -306,12 +354,12 @@ func indexOf(xs []int, v int) int {
 func (st *saState) calibrateTemperature(cost float64, rng *rand.Rand) float64 {
 	sum, cnt := 0.0, 0
 	for i := 0; i < 50; i++ {
-		undo := st.proposeMove(rng)
+		st.proposeMove(rng)
 		if d := math.Abs(st.cost() - cost); d > 0 {
 			sum += d
 			cnt++
 		}
-		undo()
+		st.undoMove()
 	}
 	if cnt == 0 {
 		return 1
@@ -323,8 +371,19 @@ func (st *saState) snapshot() saSnapshot {
 	return saSnapshot{sp: st.sp.Clone(), w: append([]float64(nil), st.w...)}
 }
 
+// saveTo copies the current sequence pair and widths into s, reusing its
+// buffers.
+//
+//sdpvet:hotpath
+func (st *saState) saveTo(s *saSnapshot) {
+	copy(s.sp.S1, st.sp.S1)
+	copy(s.sp.S2, st.sp.S2)
+	copy(s.w, st.w)
+}
+
 func (st *saState) restore(s saSnapshot) {
-	st.sp = s.sp.Clone()
+	copy(st.sp.S1, s.sp.S1)
+	copy(st.sp.S2, s.sp.S2)
 	copy(st.w, s.w)
 	for i := range st.h {
 		st.h[i] = st.areas[i] / st.w[i]
@@ -332,7 +391,7 @@ func (st *saState) restore(s saSnapshot) {
 }
 
 func (st *saState) result() *Result {
-	p := st.sp.Pack(st.w, st.h)
+	p := st.sp.Pack(st.w, st.h, st.pw)
 	res := &Result{
 		Width: p.Width, Height: p.Height,
 		Feasible: p.Width <= st.opt.Outline.W()*(1+1e-9) && p.Height <= st.opt.Outline.H()*(1+1e-9),

@@ -70,34 +70,59 @@ type Packing struct {
 	Width, Height float64   // bounding box of the packing
 }
 
-// Pack computes the minimum-area placement of the sequence pair for module
-// dimensions (w, h) with the FAST-SP weighted-LCS algorithm.
-func (sp SeqPair) Pack(w, h []float64) Packing {
-	n := len(sp.S1)
-	match := make([]int, n) // match[m] = position of module m in S1
-	for pos, m := range sp.S1 {
-		match[m] = pos
+// PackWork is the reusable scratch of SeqPair.Pack: each module's position
+// in S1, the Fenwick tree of the two weighted-LCS passes, and the
+// coordinates the returned Packing aliases.
+type PackWork struct {
+	match []int
+	x, y  []float64
+	fw    fenwickMax
+}
+
+// NewPackWork returns a packing workspace for n modules.
+func NewPackWork(n int) *PackWork {
+	return &PackWork{
+		match: make([]int, n),
+		x:     make([]float64, n),
+		y:     make([]float64, n),
+		fw:    newFenwickMax(n),
 	}
-	p := Packing{X: make([]float64, n), Y: make([]float64, n)}
+}
+
+// Pack computes the minimum-area placement of the sequence pair for module
+// dimensions (w, h) with the FAST-SP weighted-LCS algorithm, using ws from
+// NewPackWork(len(sp.S1)) as scratch. The packing's X and Y live in ws and
+// are overwritten by the next Pack into ws.
+//
+//sdpvet:hotpath
+func (sp SeqPair) Pack(w, h []float64, ws *PackWork) Packing {
+	n := len(sp.S1)
+	if len(ws.match) != n {
+		panic("anneal: PackWork size does not match the sequence pair")
+	}
+	for pos, m := range sp.S1 {
+		ws.match[m] = pos // position of module m in S1
+	}
+	p := Packing{X: ws.x, Y: ws.y}
 
 	// X: weighted LCS of (S1, S2) with weights w.
-	fw := newFenwickMax(n)
+	ws.fw.reset()
 	for _, m := range sp.S2 {
-		pos := match[m]
-		x := fw.prefixMax(pos) // max over positions < pos
+		pos := ws.match[m]
+		x := ws.fw.prefixMax(pos) // max over positions < pos
 		p.X[m] = x
-		fw.update(pos, x+w[m])
+		ws.fw.update(pos, x+w[m])
 		if x+w[m] > p.Width {
 			p.Width = x + w[m]
 		}
 	}
 	// Y: weighted LCS of (reverse(S1), S2) with weights h.
-	fw = newFenwickMax(n)
+	ws.fw.reset()
 	for _, m := range sp.S2 {
-		pos := n - 1 - match[m]
-		y := fw.prefixMax(pos)
+		pos := n - 1 - ws.match[m]
+		y := ws.fw.prefixMax(pos)
 		p.Y[m] = y
-		fw.update(pos, y+h[m])
+		ws.fw.update(pos, y+h[m])
 		if y+h[m] > p.Height {
 			p.Height = y + h[m]
 		}
@@ -136,9 +161,12 @@ type fenwickMax struct {
 	tree []float64
 }
 
-func newFenwickMax(n int) *fenwickMax {
-	return &fenwickMax{tree: make([]float64, n+1)}
+func newFenwickMax(n int) fenwickMax {
+	return fenwickMax{tree: make([]float64, n+1)}
 }
+
+// reset empties the tree (every prefix maximum back to 0).
+func (f *fenwickMax) reset() { clear(f.tree) }
 
 // update raises position i (0-based) to at least v.
 func (f *fenwickMax) update(i int, v float64) {

@@ -132,7 +132,7 @@ type Options struct {
 	// 1 runs fully sequential. Solver trajectories are bitwise identical for
 	// every value; see docs/PERFORMANCE.md for the parallelism model.
 	Workers int
-	// SolverTol overrides the solver tolerance (default 1e-7 IPM, 2e-5 ADMM).
+	// SolverTol overrides the solver tolerance (default 1e-6 IPM, 2e-5 ADMM).
 	SolverTol float64
 	// SolverMaxIter overrides the solver iteration cap.
 	SolverMaxIter int

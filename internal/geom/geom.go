@@ -87,8 +87,8 @@ func (r Rect) Intersects(s Rect, tol float64) bool {
 // Union returns the bounding box of r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX), MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX), MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX), MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX), MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -98,7 +98,11 @@ type BBox struct {
 	minX, minY, maxX, maxY float64
 }
 
-// Extend grows the box to include p.
+// Extend grows the box to include p. It uses the builtin min and max,
+// which compile inline: −0 orders below +0 and a NaN coordinate makes the
+// box NaN, so the result does not depend on the order points arrive in.
+// (math.Min and math.Max differ in one corner: they let −Inf, resp. +Inf,
+// win over NaN.)
 func (b *BBox) Extend(p Point) {
 	if !b.set {
 		b.set = true
@@ -106,10 +110,10 @@ func (b *BBox) Extend(p Point) {
 		b.minY, b.maxY = p.Y, p.Y
 		return
 	}
-	b.minX = math.Min(b.minX, p.X)
-	b.maxX = math.Max(b.maxX, p.X)
-	b.minY = math.Min(b.minY, p.Y)
-	b.maxY = math.Max(b.maxY, p.Y)
+	b.minX = min(b.minX, p.X)
+	b.maxX = max(b.maxX, p.X)
+	b.minY = min(b.minY, p.Y)
+	b.maxY = max(b.maxY, p.Y)
 }
 
 // Empty reports whether no point has been added.

@@ -193,3 +193,50 @@ func TestStats(t *testing.T) {
 		t.Fatalf("MaxOverlap = %g, want 4", over.MaxOverlap)
 	}
 }
+
+// TestBuiltinMinMaxMatchesMath pins the builtin min and max, which BBox and
+// Rect.Union use, against math.Min and math.Max on the special values. They
+// agree bit for bit whenever no argument is NaN (so −0 < +0 and ±Inf order
+// as usual). With a NaN argument both return NaN, except in one corner:
+// math.Min lets −Inf win over NaN and math.Max lets +Inf win, while the
+// builtins return NaN. The NaN payload is not pinned: the builtins may
+// return either argument's NaN, with its sign bit changed.
+func TestBuiltinMinMaxMatchesMath(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	vals := []float64{math.Copysign(0, -1), 0, -1, 1.5, inf, -inf, nan}
+	for _, x := range vals {
+		for _, y := range vals {
+			hasNaN := math.IsNaN(x) || math.IsNaN(y)
+			if got, want := min(x, y), math.Min(x, y); hasNaN {
+				if !math.IsNaN(got) {
+					t.Errorf("min(%v, %v) = %v, want NaN", x, y, got)
+				}
+				if wantMath := math.IsInf(x, -1) || math.IsInf(y, -1); wantMath != math.IsInf(want, -1) {
+					t.Errorf("math.Min(%v, %v) = %v", x, y, want)
+				}
+			} else if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("min(%v, %v) = %v (%#x), math.Min = %v (%#x)",
+					x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got, want := max(x, y), math.Max(x, y); hasNaN {
+				if !math.IsNaN(got) {
+					t.Errorf("max(%v, %v) = %v, want NaN", x, y, got)
+				}
+				if wantMath := math.IsInf(x, 1) || math.IsInf(y, 1); wantMath != math.IsInf(want, 1) {
+					t.Errorf("math.Max(%v, %v) = %v", x, y, want)
+				}
+			} else if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("max(%v, %v) = %v (%#x), math.Max = %v (%#x)",
+					x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	// ±0 in the bounding box: −0 is the smaller, +0 the larger.
+	var b BBox
+	b.Extend(Point{0, math.Copysign(0, -1)})
+	b.Extend(Point{math.Copysign(0, -1), 0})
+	r := b.Rect()
+	if !math.Signbit(r.MinX) || math.Signbit(r.MaxX) || !math.Signbit(r.MinY) || math.Signbit(r.MaxY) {
+		t.Errorf("±0 box = %+v, want min −0 and max +0 on both axes", r)
+	}
+}

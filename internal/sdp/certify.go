@@ -19,8 +19,8 @@ import (
 //
 // A nil error is a machine-checkable proof of (tol-approximate) optimality
 // independent of which solver produced sol. IPM solutions certify at
-// tol ~1e-5 (solver default 1e-7 plus unscaling slack); ADMM at its looser
-// first-order accuracy, typically 1e-3. Tests use the assertKKT wrapper;
+// tol ~1e-5 (the floorplanner's IPM tolerance 1e-6, core's default, plus
+// unscaling slack); ADMM at its looser first-order accuracy, typically 1e-3. Tests use the assertKKT wrapper;
 // the exported form backs cross-package differential and warm-start parity
 // checks.
 func CheckKKT(p *Problem, sol *Solution, tol float64) error {
