@@ -66,7 +66,7 @@ func main() {
 		ecoPath    = flag.String("eco", "", "ECO delta JSON: apply it to the input and re-solve warm from -prev (sdp only)")
 		prevPl     = flag.String("prev", "", "previous placement ('name x y' lines, e.g. from -out-pl) seeding the -eco re-solve")
 		outPl      = flag.String("out-pl", "", "write the global module centers as 'name x y' lines (feeds a later -prev)")
-		verbose    = flag.Bool("v", false, "log solver progress")
+		verbose    = flag.Bool("v", false, "log solver progress, derived from the trace stream (see docs/TRACING.md)")
 		showVer    = flag.Bool("version", false, "print the build stamp and exit")
 	)
 	flag.Parse()
@@ -151,8 +151,10 @@ func main() {
 		}
 		cfg.Portfolio.Table = tbl
 	}
+	// -v prints progress lines derived from the trace stream; with -trace
+	// both recorders see the same events.
 	if *verbose {
-		cfg.Global.Logf = log.Printf
+		cfg.Trace = trace.Log(log.Printf)
 	}
 	closeTrace := func() {}
 	if *traceOut != "" {
@@ -162,7 +164,7 @@ func main() {
 		}
 		bw := bufio.NewWriter(tf)
 		rec := trace.NewJSONL(bw)
-		cfg.Trace = rec
+		cfg.Trace = trace.Multi(cfg.Trace, rec) // Multi skips a nil cfg.Trace
 		// Flushed explicitly right after the solve (not deferred): the
 		// timeout path exits with status 3 and must still leave a complete
 		// trace, final events included.

@@ -181,8 +181,6 @@ type Options struct {
 	Refine core.Options
 	// Outline is the chip outline (required).
 	Outline geom.Rect
-	// Logf receives progress lines.
-	Logf func(format string, args ...any)
 	// Context, when non-nil, cancels the hierarchical solve: it is threaded
 	// into every level's SDP solve and checked between cluster refinements.
 	Context context.Context
@@ -279,7 +277,6 @@ func solve(nl *netlist.Netlist, opt Options, depth int) (*Result, error) {
 	topOpt.LazyConstraints = true
 	o := opt.Outline
 	topOpt.Outline = &o
-	topOpt.Logf = opt.Logf
 	topOpt.Context = opt.Context
 	topOpt.Trace = opt.Trace
 	top, err := core.Solve(coarse, topOpt)

@@ -16,18 +16,13 @@ import (
 // adaptation the paper references); two-pin nets are unaffected.
 //
 // centers may be nil (first iteration): the base clique adjacency is
-// returned unscaled.
+// returned unscaled. The assembly runs sequentially in net order: the per-net
+// work is tiny next to the SDP solve it feeds, and merging chunked partial
+// sums would make the last bits depend on the worker count.
 func adaptiveA(nl *netlist.Netlist, centers []geom.Point, manhattan, hyperEdge bool) *linalg.Dense {
-	return adaptiveAP(nl, centers, manhattan, hyperEdge, 1)
-}
-
-// adaptiveAP is adaptiveA with the base-adjacency fast path assembled over
-// the worker pool. The adaptive reweighting itself stays sequential: the
-// per-net work is tiny next to the SDP solve it feeds.
-func adaptiveAP(nl *netlist.Netlist, centers []geom.Point, manhattan, hyperEdge bool, workers int) *linalg.Dense {
 	n := nl.N()
 	if centers == nil || (!manhattan && !hyperEdge) {
-		return nl.AdjacencyP(workers)
+		return nl.Adjacency()
 	}
 	a := linalg.NewDense(n, n)
 	ratio := func(i, j int) float64 {

@@ -55,7 +55,7 @@ func newBuilder(nl *netlist.Netlist, opt *Options) *builder {
 		dim:    n + 2,
 		radii:  nl.Radii(opt.NonSquare),
 		aspect: make([]float64, n),
-		baseA:  nl.AdjacencyP(opt.Workers),
+		baseA:  nl.Adjacency(),
 		arena:  linalg.NewArena(),
 	}
 	for i, m := range nl.Modules {
@@ -63,7 +63,7 @@ func newBuilder(nl *netlist.Netlist, opt *Options) *builder {
 	}
 	b.deg = netlist.Degrees(b.baseA)
 	if len(nl.Pads) > 0 {
-		b.padA = nl.PadAdjacencyP(opt.Workers)
+		b.padA = nl.PadAdjacency()
 		b.padRowSum = make([]float64, n)
 		b.padMoment = make([]geom.Point, n)
 		//sdpvet:ignore ctxloop bounded one-pass pad-adjacency accumulation; Options.Context gates the iteration loops downstream

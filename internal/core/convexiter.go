@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"sdpfloor/internal/geom"
 	"sdpfloor/internal/linalg"
@@ -17,17 +16,6 @@ import (
 // traceOn reports whether rec is active; event construction is guarded on
 // it so disabled tracing adds no per-iteration work.
 func traceOn(rec trace.Recorder) bool { return rec != nil && rec.Enabled() }
-
-// IterRecord traces one convex iteration (used by the Fig. 5 experiments).
-type IterRecord struct {
-	Alpha       float64
-	Iter        int           // iteration index within the current α
-	Objective   float64       // ⟨B⁰, G⟩ — the unadapted squared-distance objective
-	WZ          float64       // ⟨W, Z⟩ = sum of the n smallest eigenvalues of Z
-	SolveTime   time.Duration // sub-problem-1 wall time
-	NumCons     int           // constraints in the working set
-	SolverIters int           // IPM/ADMM iterations of the final lazy round
-}
 
 // Result is the outcome of a convex-iteration run.
 type Result struct {
@@ -49,7 +37,6 @@ type Result struct {
 	SubSolves  int
 	WarmStarts int
 	RankOK     bool
-	History    []IterRecord
 }
 
 // Solve runs Algorithm 1 on the netlist: the convex iteration over
@@ -182,11 +169,10 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			}
 			res.Iterations++
 			// Adaptive B (Eq. 20 / hyper-edge variant).
-			at := adaptiveAP(nl, centers, opt.Manhattan, opt.HyperEdge, opt.Workers)
+			at := adaptiveA(nl, centers, opt.Manhattan, opt.HyperEdge)
 			bt := netlist.BuildBP(at, opt.Workers)
 			c := bld.objectiveC(bt, w, alpha)
 
-			start := time.Now() //sdpvet:ignore detrand wall-clock SolveTime diagnostic in IterRecord; never feeds placement math
 			var err error
 			prevZ := z
 			z, sol, pairs, havePairs, err = bld.solveSub1(c, pairs, havePairs)
@@ -199,7 +185,6 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 				}
 				return nil, fmt.Errorf("core: sub-problem 1 failed (alpha=%g, iter=%d): %w", alpha, t, err)
 			}
-			elapsed := time.Since(start) //sdpvet:ignore detrand wall-clock SolveTime diagnostic in IterRecord; never feeds placement math
 			solverIters := 0
 			solverWarm := false
 			if sol != nil {
@@ -217,21 +202,17 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			lastWZ = wz
 			centers = ExtractCenters(z)
 
-			obj := objectiveValue(b0, z, n)
-			res.History = append(res.History, IterRecord{
-				Alpha: alpha, Iter: t, Objective: obj, WZ: wz,
-				SolveTime: elapsed, NumCons: len(pairs), SolverIters: solverIters,
-			})
 			if traceOn(opt.Trace) {
-				// SolveTime deliberately stays out of the fields: event
-				// content must be deterministic; wall time lives in the
-				// recorder-stamped TS and in IterRecord.
+				// One event per convex iteration: the Fig. 5(a) series
+				// (obj, wz per alphaIter) and the -v progress lines are
+				// both read from it. Wall time lives only in the
+				// recorder-stamped TS, so event content stays deterministic.
 				opt.Trace.Record(trace.Event{
 					Solver: "core", Kind: "iter", Iter: res.Iterations,
 					Fields: []trace.Field{
 						{Key: "alpha", Val: alpha},
 						{Key: "alphaIter", Val: float64(t)},
-						{Key: "obj", Val: obj},
+						{Key: "obj", Val: objectiveValue(b0, z, n)},
 						{Key: "wz", Val: wz},
 						{Key: "trZ", Val: z.Trace()},
 						{Key: "cons", Val: float64(len(pairs))},
@@ -239,10 +220,6 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 						{Key: "warm", Val: boolField(solverWarm)},
 					},
 				})
-			}
-			if opt.Logf != nil {
-				opt.Logf("core: alpha=%g iter=%d obj=%.6g <W,Z>=%.3g cons=%d time=%s",
-					alpha, t, obj, wz, len(pairs), elapsed.Round(time.Millisecond))
 			}
 
 			// Early exit: rank constraint already met — nothing more to gain
@@ -279,9 +256,6 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			alpha *= 4
 		default:
 			alpha *= 2
-		}
-		if opt.Logf != nil {
-			opt.Logf("core: rank not reached (<W,Z>=%.3g, trZ=%.3g); alpha -> %g", lastWZ, trZ, alpha)
 		}
 	}
 
@@ -344,9 +318,6 @@ func (b *builder) solveSub1(c *linalg.Dense, pairs []pair, have map[pair]bool) (
 			delete(b.slackCount, p)
 		}
 		pairs = append(pairs, viol...)
-		if b.opt.Logf != nil {
-			b.opt.Logf("core: lazy round %d added %d violated pairs (total %d)", round, len(viol), len(pairs))
-		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sdpfloor/internal/linalg"
 	"sdpfloor/internal/netlist"
 	"sdpfloor/internal/sdp"
+	"sdpfloor/internal/trace"
 )
 
 // chainNL builds n unit-area modules in a chain with two pads at (±span, 0).
@@ -382,18 +383,76 @@ func TestSolveNonSquareRunsAndSatisfiesBounds(t *testing.T) {
 	}
 }
 
-func TestSolveHistoryRecorded(t *testing.T) {
+func TestSolveTraceRecordsIterations(t *testing.T) {
 	nl := chainNL(3, 4)
-	res, err := Solve(nl, Options{MaxIter: 10})
+	ring := trace.NewRing(4096)
+	res, err := Solve(nl, Options{MaxIter: 10, Trace: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.History) == 0 || len(res.History) != res.Iterations {
-		t.Fatalf("history length %d, iterations %d", len(res.History), res.Iterations)
+	if ring.Dropped() > 0 {
+		t.Fatalf("ring dropped %d events", ring.Dropped())
 	}
-	for _, h := range res.History {
-		if h.Alpha <= 0 || h.NumCons <= 0 {
-			t.Fatalf("bad history record: %+v", h)
+	iters := 0
+	for _, ev := range ring.Snapshot() {
+		if ev.Solver != "core" || ev.Kind != trace.KindIter {
+			continue
+		}
+		iters++
+		var alpha, cons float64
+		for _, f := range ev.Fields {
+			switch f.Key {
+			case "alpha":
+				alpha = f.Val
+			case "cons":
+				cons = f.Val
+			}
+		}
+		if alpha <= 0 || cons <= 0 {
+			t.Fatalf("bad core iter event: %+v", ev)
+		}
+	}
+	if iters == 0 || iters != res.Iterations {
+		t.Fatalf("%d core iter events, %d iterations", iters, res.Iterations)
+	}
+}
+
+// TestSolveManyNetsBitwiseAcrossWorkers: the netlist matrices are assembled
+// in net order whatever the worker count, so a netlist with enough nets to
+// split into chunks (≥512) still yields a bitwise-identical Z at w1 and w4.
+func TestSolveManyNetsBitwiseAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n, pads, nets = 6, 4, 600
+	nl := &netlist.Netlist{}
+	for i := 0; i < n; i++ {
+		nl.Modules = append(nl.Modules, netlist.Module{Name: "m", MinArea: 1 + rng.Float64(), MaxAspect: 2})
+	}
+	for j := 0; j < pads; j++ {
+		a := 2 * math.Pi * float64(j) / pads
+		nl.Pads = append(nl.Pads, netlist.Pad{Name: "p", Pos: geom.Point{X: 6 * math.Cos(a), Y: 6 * math.Sin(a)}})
+	}
+	for k := 0; k < nets; k++ {
+		perm := rng.Perm(n)
+		e := netlist.Net{Name: "e", Weight: 0.1 + 3*rng.Float64(), Modules: perm[:2+rng.Intn(3)]}
+		if rng.Intn(3) == 0 {
+			e.Pads = []int{rng.Intn(pads)}
+		}
+		nl.Nets = append(nl.Nets, e)
+	}
+	var ref *Result
+	for _, workers := range []int{1, 4} {
+		res, err := Solve(nl, Options{MaxIter: 3, AlphaMaxDoublings: 1, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		for i, v := range res.Z.Data {
+			if math.Float64bits(v) != math.Float64bits(ref.Z.Data[i]) {
+				t.Fatalf("workers=%d: Z[%d] = %v, workers=1 gave %v", workers, i, v, ref.Z.Data[i])
+			}
 		}
 	}
 }

@@ -126,7 +126,7 @@ type Options struct {
 	// field, so the effect is observable end to end.
 	NoWarmStart bool
 	// Workers bounds the parallelism of one solve: the SDP Schur complement,
-	// dense factorizations, eigendecompositions, and netlist matrix assembly
+	// dense factorizations, eigendecompositions, and the B-matrix assembly
 	// all split across the shared worker pool at this width. 0 uses the pool
 	// default (GOMAXPROCS, or the SDPFLOOR_WORKERS environment override);
 	// 1 runs fully sequential. Solver trajectories are bitwise identical for
@@ -136,9 +136,6 @@ type Options struct {
 	SolverTol float64
 	// SolverMaxIter overrides the solver iteration cap.
 	SolverMaxIter int
-
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
 
 	// Context, when non-nil, allows cancelling a long solve. It is checked
 	// between convex iterations and also threaded into the sub-problem
@@ -154,8 +151,9 @@ type Options struct {
 	// sub-problem solvers, interleaved "ipm"/"admm" events for every SDP
 	// solve. The trace always closes with one "core" final record, also on
 	// cancellation. Event content excludes wall-clock durations (those
-	// live in IterRecord and event timestamps), so traces are
-	// deterministic across worker counts. See docs/TRACING.md.
+	// live only in the recorder-stamped timestamps), so traces are
+	// deterministic across worker counts. The trace is the only progress
+	// channel: trace.Log turns it into log lines. See docs/TRACING.md.
 	Trace trace.Recorder
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,11 +99,18 @@ func TestFig4Output(t *testing.T) {
 	}
 }
 
+// TestFig5aOutput pins the quick-mode Fig. 5(a) CSV byte for byte: the
+// series is read back from the "core" trace events, whose floats are the
+// solver's own, so any change in the digest is a change in the solve.
 func TestFig5aOutput(t *testing.T) {
 	out := runQuick(t, "fig5a")
 	lines := dataLines(out)
-	if len(lines) < 4 {
-		t.Fatalf("too few convergence rows:\n%s", out)
+	if len(lines) != 8 { // n10 × 2 alphas × 4 iterations
+		t.Fatalf("expected 8 convergence rows:\n%s", out)
+	}
+	const want = "c0fc7a77cf0ac08fc1e013b2537a44e4bd08e0e720c2767a5f7e069aefc9ebee"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+		t.Fatalf("fig5a CSV sha256 %s, want %s:\n%s", got, want, out)
 	}
 }
 

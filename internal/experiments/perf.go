@@ -9,6 +9,7 @@ import (
 	"sdpfloor/internal/core"
 	"sdpfloor/internal/gsrc"
 	"sdpfloor/internal/legalize"
+	"sdpfloor/internal/trace"
 )
 
 // fig4Variant is one technique stack from Fig. 4.
@@ -132,16 +133,36 @@ func Fig5a(w io.Writer, mode Mode) error {
 				LazyConstraints:   true,
 				NonSquare:         true,
 			}
-			res, err := core.Solve(d.Netlist, opt)
-			if err != nil {
+			// The series is read back from the solve's own trace: one
+			// "core" iter event per convex iteration.
+			ring := trace.NewRing(1 << 14)
+			opt.Trace = ring
+			if _, err := core.Solve(d.Netlist, opt); err != nil {
 				return err
 			}
-			for _, h := range res.History {
-				fmt.Fprintf(w, "%s,%g,%d,%.1f,%.4g\n", bench, alpha, h.Iter, h.Objective, h.WZ)
+			if n := ring.Dropped(); n > 0 {
+				return fmt.Errorf("fig5a: %s alpha %g: trace ring dropped %d events", bench, alpha, n)
+			}
+			for _, ev := range ring.Snapshot() {
+				if ev.Solver != "core" || ev.Kind != trace.KindIter {
+					continue
+				}
+				fmt.Fprintf(w, "%s,%g,%d,%.1f,%.4g\n", bench, alpha,
+					int(fieldVal(ev, "alphaIter")), fieldVal(ev, "obj"), fieldVal(ev, "wz"))
 			}
 		}
 	}
 	return nil
+}
+
+// fieldVal returns the value of the named field of ev (NaN when absent).
+func fieldVal(ev trace.Event, key string) float64 {
+	for _, f := range ev.Fields {
+		if f.Key == key {
+			return f.Val
+		}
+	}
+	return math.NaN()
 }
 
 func fig5aIters(mode Mode) int {

@@ -143,80 +143,6 @@ func (nl *Netlist) PadAdjacency() *linalg.Dense {
 	return a
 }
 
-// minParNets is the net count below which the parallel adjacency builders
-// run sequentially (the per-net work is a handful of adds).
-const minParNets = 512
-
-// AdjacencyP is Adjacency with the nets swept in fixed chunks over the
-// worker pool; each chunk accumulates into a private partial matrix and the
-// partials are summed in chunk order. The chunk layout and reduction order
-// are fixed by the requested worker count, so the result is deterministic
-// for a fixed count (summation order — and hence the last floating-point
-// bits — can differ between different counts).
-func (nl *Netlist) AdjacencyP(workers int) *linalg.Dense {
-	n := nl.N()
-	w := parallel.Workers(workers)
-	if w <= 1 || len(nl.Nets) < minParNets {
-		return nl.Adjacency()
-	}
-	parts := make([]*linalg.Dense, parallel.Chunks(w, len(nl.Nets), minParNets))
-	parallel.ForChunked(w, len(nl.Nets), minParNets, func(c, lo, hi int) {
-		a := linalg.NewDense(n, n)
-		for _, e := range nl.Nets[lo:hi] {
-			d := len(e.Modules)
-			if d < 2 {
-				continue
-			}
-			wt := e.Weight / float64(d-1)
-			for x := 0; x < d; x++ {
-				for y := x + 1; y < d; y++ {
-					i, j := e.Modules[x], e.Modules[y]
-					a.Add(i, j, wt)
-					a.Add(j, i, wt)
-				}
-			}
-		}
-		parts[c] = a
-	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out.AddScaled(1, p)
-	}
-	return out
-}
-
-// PadAdjacencyP is PadAdjacency with the same chunked-partials scheme as
-// AdjacencyP (deterministic for a fixed worker count).
-func (nl *Netlist) PadAdjacencyP(workers int) *linalg.Dense {
-	n, m := nl.N(), len(nl.Pads)
-	w := parallel.Workers(workers)
-	if w <= 1 || len(nl.Nets) < minParNets {
-		return nl.PadAdjacency()
-	}
-	parts := make([]*linalg.Dense, parallel.Chunks(w, len(nl.Nets), minParNets))
-	parallel.ForChunked(w, len(nl.Nets), minParNets, func(c, lo, hi int) {
-		a := linalg.NewDense(n, m)
-		for _, e := range nl.Nets[lo:hi] {
-			total := len(e.Modules) + len(e.Pads)
-			if total < 2 || len(e.Pads) == 0 || len(e.Modules) == 0 {
-				continue
-			}
-			wt := e.Weight / float64(total-1)
-			for _, i := range e.Modules {
-				for _, j := range e.Pads {
-					a.Add(i, j, wt)
-				}
-			}
-		}
-		parts[c] = a
-	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out.AddScaled(1, p)
-	}
-	return out
-}
-
 // BuildB constructs the constant matrix B of Eq. (8) from a (possibly
 // asymmetric) adjacency matrix A, such that ⟨B, G⟩ = Σᵢⱼ A_ij‖xᵢ−xⱼ‖².
 func BuildB(a *linalg.Dense) *linalg.Dense {

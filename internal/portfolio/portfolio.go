@@ -100,8 +100,6 @@ type Options struct {
 	// stream: one unscoped start/final pair for the race, plus a
 	// run-scoped start/iter/final triple per contender (run id = name).
 	Trace trace.Recorder
-	// Logf, when non-nil, receives race progress lines.
-	Logf func(format string, args ...any)
 }
 
 // Result is the outcome of a race.
@@ -256,14 +254,6 @@ func Race(ctx context.Context, contenders []Contender, opt Options) (*Result, er
 	for i, cancel := range cancels {
 		if i != winner {
 			cancel()
-		}
-	}
-	if opt.Logf != nil {
-		switch {
-		case winner >= 0:
-			opt.Logf("portfolio: %s legalized first, cancelling %d contender(s)", contenders[winner].Name, n-1)
-		case deadline:
-			opt.Logf("portfolio: deadline expired with %d/%d contenders finished", got, n)
 		}
 	}
 	// Drain: every contender must unwind before the race returns, so no

@@ -15,7 +15,6 @@ type ADMMOptions struct {
 	Tol     float64 // relative residual tolerance (default 1e-5)
 	MaxIter int     // iteration cap (default 5000)
 	Mu      float64 // initial penalty (default 1); adapted during the run
-	Logf    func(format string, args ...any)
 	// Workers is the parallelism for the per-iteration eigendecomposition and
 	// PSD projection. 0 picks the shared pool default; the iterate trajectory
 	// is bitwise identical for every value (see IPMOptions.Workers).
@@ -293,11 +292,6 @@ func (st *admmState) iterate(sol *Solution, iter int, tracing bool) bool {
 	dobj := linalg.Dot(st.b, st.y)
 	relG := math.Abs(pobj-dobj) / (1 + math.Abs(pobj) + math.Abs(dobj))
 
-	if opt.Logf != nil && iter%50 == 0 {
-		//sdpvet:ignore hotalloc logging-only: Logf is nil in production and in the alloc-gated benchmarks
-		opt.Logf("admm iter %4d: pobj=%.6e dobj=%.6e pres=%.2e dres=%.2e mu=%.2e",
-			iter, pobj, dobj, pres, dres, mu)
-	}
 	if tracing {
 		opt.Trace.Record(trace.Event{
 			Solver: "admm", Kind: "iter", Iter: iter,

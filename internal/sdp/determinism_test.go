@@ -3,23 +3,30 @@ package sdp
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"sdpfloor/internal/linalg"
+	"sdpfloor/internal/trace"
 )
 
-// trajectoryHash condenses a solve into one digest: every per-iteration log
-// line (objectives and residuals to full printed precision) plus the exact
-// bits of the final primal iterate. Two solves agree on the hash only if
-// they walked the same trajectory to the same answer.
-func trajectoryHash(lines []string, sol *Solution) [32]byte {
+// trajectoryHash condenses a solve into one digest: the solver's full trace
+// (every event in its deterministic JSONL form with the timestamp zeroed, so
+// every field at full round-trip precision) plus the exact bits of the
+// final primal iterate and duals. Two solves agree on the hash only if they
+// walked the same trajectory to the same answer.
+func trajectoryHash(t *testing.T, ring *trace.Ring, sol *Solution) [32]byte {
+	t.Helper()
+	if n := ring.Dropped(); n > 0 {
+		t.Fatalf("trace ring dropped %d events; enlarge it", n)
+	}
 	h := sha256.New()
-	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
+	var line []byte
+	for _, ev := range ring.Snapshot() {
+		ev.TS = 0
+		line = append(trace.AppendJSON(line[:0], ev), '\n')
+		h.Write(line)
 	}
 	for _, x := range sol.X {
 		for _, v := range x.Data {
@@ -38,6 +45,10 @@ func trajectoryHash(lines []string, sol *Solution) [32]byte {
 	return out
 }
 
+// trajectoryRing returns a recorder large enough to hold every event of one
+// test solve.
+func trajectoryRing() *trace.Ring { return trace.NewRing(1 << 12) }
+
 // TestIPMDeterministicAcrossWorkers: the acceptance criterion of the
 // parallel port — the IPM must produce a bitwise-identical iterate
 // trajectory for every worker count, because every parallel path splits
@@ -48,18 +59,15 @@ func TestIPMDeterministicAcrossWorkers(t *testing.T) {
 	p := randomFeasibleSDP(rng, 40, 30)
 	var ref [32]byte
 	for i, workers := range []int{1, 2, 8} {
-		var lines []string
-		logf := func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
-		}
-		sol, err := SolveIPM(p, IPMOptions{Workers: workers, Logf: logf})
+		ring := trajectoryRing()
+		sol, err := SolveIPM(p, IPMOptions{Workers: workers, Trace: ring})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if sol.Status != StatusOptimal {
 			t.Fatalf("workers=%d: status %v", workers, sol.Status)
 		}
-		h := trajectoryHash(lines, sol)
+		h := trajectoryHash(t, ring, sol)
 		if i == 0 {
 			ref = h
 		} else if h != ref {
@@ -80,18 +88,15 @@ func TestIPMDeterministicAcrossWorkersBlocked(t *testing.T) {
 	p := randomFeasibleSDP(rng, 70, 90)
 	var ref [32]byte
 	for i, workers := range []int{1, 2, 8} {
-		var lines []string
-		logf := func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
-		}
-		sol, err := SolveIPM(p, IPMOptions{Workers: workers, Logf: logf})
+		ring := trajectoryRing()
+		sol, err := SolveIPM(p, IPMOptions{Workers: workers, Trace: ring})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if sol.Status != StatusOptimal {
 			t.Fatalf("workers=%d: status %v", workers, sol.Status)
 		}
-		h := trajectoryHash(lines, sol)
+		h := trajectoryHash(t, ring, sol)
 		if i == 0 {
 			ref = h
 		} else if h != ref {
@@ -110,15 +115,12 @@ func TestADMMDeterministicAcrossWorkersBlocked(t *testing.T) {
 	p := randomFeasibleSDP(rng, 70, 60)
 	var ref [32]byte
 	for i, workers := range []int{1, 2, 8} {
-		var lines []string
-		logf := func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
-		}
-		sol, err := SolveADMM(p, ADMMOptions{Workers: workers, MaxIter: 200, Logf: logf})
+		ring := trajectoryRing()
+		sol, err := SolveADMM(p, ADMMOptions{Workers: workers, MaxIter: 200, Trace: ring})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		h := trajectoryHash(lines, sol)
+		h := trajectoryHash(t, ring, sol)
 		if i == 0 {
 			ref = h
 		} else if h != ref {
@@ -134,15 +136,12 @@ func TestADMMDeterministicAcrossWorkers(t *testing.T) {
 	p := randomFeasibleSDP(rng, 25, 15)
 	var ref [32]byte
 	for i, workers := range []int{1, 2, 8} {
-		var lines []string
-		logf := func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
-		}
-		sol, err := SolveADMM(p, ADMMOptions{Workers: workers, MaxIter: 400, Logf: logf})
+		ring := trajectoryRing()
+		sol, err := SolveADMM(p, ADMMOptions{Workers: workers, MaxIter: 400, Trace: ring})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		h := trajectoryHash(lines, sol)
+		h := trajectoryHash(t, ring, sol)
 		if i == 0 {
 			ref = h
 		} else if h != ref {

@@ -16,7 +16,6 @@ type IPMOptions struct {
 	MaxIter int     // iteration cap (default 100)
 	Gamma   float64 // fraction-to-boundary factor in (0,1) (default 0.98)
 	NoScale bool    // disable the constraint equilibration presolve
-	Logf    func(format string, args ...any)
 	// Workers is the parallelism used for the Schur complement, the dense
 	// factorizations, and the step computation. 0 picks the shared pool
 	// default (GOMAXPROCS, or SDPFLOOR_WORKERS when set); 1 is fully
@@ -430,10 +429,6 @@ func (st *ipmState) run() *Solution {
 		relP := linalg.Norm2(st.rp) / (1 + st.bn)
 		relD := st.dualResNorm() / (1 + st.cn)
 		relG := math.Abs(pobj-dobj) / (1 + math.Abs(pobj) + math.Abs(dobj))
-		if opt.Logf != nil {
-			opt.Logf("ipm iter %2d: pobj=%.6e dobj=%.6e gap=%.2e relP=%.2e relD=%.2e",
-				iter, pobj, dobj, relG, relP, relD)
-		}
 		if relP < opt.Tol && relD < opt.Tol && relG < opt.Tol {
 			sol.Status = StatusOptimal
 			st.fill(sol, pobj, dobj, relP, relD, relG)

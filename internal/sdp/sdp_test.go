@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdpfloor/internal/linalg"
+	"sdpfloor/internal/trace"
 )
 
 // minTraceProblem: min tr(X) s.t. X₀₀ = 1, X ⪰ 0 (2×2). Optimum: X = e₀e₀ᵀ,
@@ -382,17 +383,20 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-func TestIPMWithLogfAndLooseGamma(t *testing.T) {
-	lines := 0
-	sol, err := SolveIPM(minTraceProblem(), IPMOptions{
-		Gamma: 0.9,
-		Logf:  func(string, ...any) { lines++ },
-	})
+func TestIPMWithTraceAndLooseGamma(t *testing.T) {
+	ring := trace.NewRing(256)
+	sol, err := SolveIPM(minTraceProblem(), IPMOptions{Gamma: 0.9, Trace: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != StatusOptimal || lines == 0 {
-		t.Fatalf("status=%v logged=%d", sol.Status, lines)
+	iters := 0
+	for _, ev := range ring.Snapshot() {
+		if ev.Kind == trace.KindIter {
+			iters++
+		}
+	}
+	if sol.Status != StatusOptimal || iters == 0 {
+		t.Fatalf("status=%v traced iterations=%d", sol.Status, iters)
 	}
 }
 

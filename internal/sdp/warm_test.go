@@ -1,7 +1,6 @@
 package sdp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,18 +185,15 @@ func TestIPMReuseTransparent(t *testing.T) {
 	objs := []*Problem{p, perturbObjective(p, rng, 0.05), perturbObjective(p, rng, 0.1)}
 
 	solveHash := func(q *Problem, reuse *IPMReuse) [32]byte {
-		var lines []string
-		opt := IPMOptions{Reuse: reuse, Logf: func(f string, a ...any) {
-			lines = append(lines, fmt.Sprintf(f, a...))
-		}}
-		sol, err := SolveIPM(q, opt)
+		ring := trajectoryRing()
+		sol, err := SolveIPM(q, IPMOptions{Reuse: reuse, Trace: ring})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sol.Status != StatusOptimal {
 			t.Fatalf("status %v", sol.Status)
 		}
-		return trajectoryHash(lines, sol)
+		return trajectoryHash(t, ring, sol)
 	}
 
 	reuse := &IPMReuse{}
@@ -228,10 +224,10 @@ func TestIPMWarmDeterministicAcrossWorkers(t *testing.T) {
 	q := perturbObjective(p, rng, 0.05)
 	var ref [32]byte
 	for i, workers := range []int{1, 2, 8} {
-		var lines []string
+		ring := trajectoryRing()
 		opt := warmIPMOptions(prev)
 		opt.Workers = workers
-		opt.Logf = func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }
+		opt.Trace = ring
 		sol, err := SolveIPM(q, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -239,7 +235,7 @@ func TestIPMWarmDeterministicAcrossWorkers(t *testing.T) {
 		if !sol.Warm {
 			t.Fatalf("workers=%d: warm start not consumed", workers)
 		}
-		h := trajectoryHash(lines, sol)
+		h := trajectoryHash(t, ring, sol)
 		if i == 0 {
 			ref = h
 		} else if h != ref {
@@ -259,10 +255,10 @@ func TestADMMWarmDeterministicAcrossWorkers(t *testing.T) {
 	q := perturbObjective(p, rng, 0.05)
 	var ref [32]byte
 	for i, workers := range []int{1, 2, 8} {
-		var lines []string
+		ring := trajectoryRing()
 		opt := ADMMOptions{Workers: workers, MaxIter: 400,
 			X0: prev.X, XLP0: prev.XLP, Y0: prev.Y, S0: prev.S, SLP0: prev.SLP, Mu0: prev.Mu,
-			Logf: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }}
+			Trace: ring}
 		sol, err := SolveADMM(q, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -270,7 +266,7 @@ func TestADMMWarmDeterministicAcrossWorkers(t *testing.T) {
 		if !sol.Warm {
 			t.Fatalf("workers=%d: warm start not consumed", workers)
 		}
-		h := trajectoryHash(lines, sol)
+		h := trajectoryHash(t, ring, sol)
 		if i == 0 {
 			ref = h
 		} else if h != ref {

@@ -3,7 +3,9 @@
 // (sdp.SolveIPM, sdp.SolveADMM, the core convex iteration, optimize
 // L-BFGS). Solvers emit one structured Event per iteration plus a "start"
 // and a "final" record per run; recorders decide what to do with them —
-// discard (Nop), keep a bounded window (Ring), or stream JSONL (JSONL).
+// discard (Nop), keep a bounded window (Ring), stream JSONL (JSONL), or
+// print progress lines (Log). The trace is the solvers' only progress
+// channel: logs and convergence histories are derived from it.
 //
 // Two contracts make traces useful for regression testing:
 //

@@ -132,7 +132,6 @@ func placePortfolio(ctx context.Context, nl *Netlist, cfg Config) (*Floorplan, e
 	res, raceErr := portfolio.Race(ctx, entries, portfolio.Options{
 		Workers: raceCfg.Global.Workers,
 		Trace:   rec,
-		Logf:    raceCfg.Global.Logf,
 	})
 	if res == nil || res.Winner < 0 || res.Outcome == nil {
 		return nil, raceErr

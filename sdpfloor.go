@@ -210,7 +210,6 @@ func PlaceContext(ctx context.Context, nl *Netlist, cfg Config) (*Floorplan, err
 		res, err := cluster.Solve(nl, cluster.Options{
 			Outline: cfg.Outline,
 			Top:     cfg.Global,
-			Logf:    cfg.Global.Logf,
 			Context: ctx,
 			Trace:   cfg.Global.Trace,
 		})
@@ -416,30 +415,6 @@ func sniffYAL(dir, name string) (string, bool) {
 func fileExists(p string) bool {
 	st, err := os.Stat(p)
 	return err == nil && !st.IsDir()
-}
-
-// PlaceIncremental re-floorplans after an engineering change order (ECO):
-// modules marked in frozen keep their previous centers via PPM constraints
-// (Eqs. 22–24) while the rest are re-optimized around them. prev must hold
-// the previous centers for (at least) the frozen modules. The netlist is
-// restored to its original Fixed state before returning.
-func PlaceIncremental(nl *Netlist, prev []Point, frozen []bool, cfg Config) (*Floorplan, error) {
-	if nl == nil || nl.N() == 0 {
-		return nil, errors.New("sdpfloor: empty netlist")
-	}
-	if len(prev) != nl.N() || len(frozen) != nl.N() {
-		return nil, errors.New("sdpfloor: PlaceIncremental needs prev and frozen per module")
-	}
-	saved := make([]Module, nl.N())
-	copy(saved, nl.Modules)
-	defer copy(nl.Modules, saved)
-	for i := range nl.Modules {
-		if frozen[i] {
-			nl.Modules[i].Fixed = true
-			nl.Modules[i].FixedPos = prev[i]
-		}
-	}
-	return Place(nl, cfg)
 }
 
 // ReadNetlistJSON parses a netlist from the by-name JSON schema (see

@@ -164,47 +164,6 @@ func TestGlobalFloorplanDirect(t *testing.T) {
 	}
 }
 
-func TestPlaceIncrementalFreezesModules(t *testing.T) {
-	nl, out := smallNL(t)
-	base, err := Place(nl, Config{Outline: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen := make([]bool, nl.N())
-	frozen[0] = true
-	frozen[3] = true
-	eco, err := PlaceIncremental(nl, base.Global, frozen, Config{Outline: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Frozen modules keep their global positions (the global stage pins
-	// them; legalization may nudge, so check the global result).
-	for _, i := range []int{0, 3} {
-		if eco.Global[i].Dist(base.Global[i]) > 1e-3*out.W() {
-			t.Fatalf("frozen module %d moved: %v -> %v", i, base.Global[i], eco.Global[i])
-		}
-	}
-	// The netlist's Fixed flags are restored.
-	for i, m := range nl.Modules {
-		if m.Fixed {
-			t.Fatalf("module %d left Fixed after PlaceIncremental", i)
-		}
-	}
-	if eco.HPWL <= 0 {
-		t.Fatal("ECO result must have positive HPWL")
-	}
-}
-
-func TestPlaceIncrementalErrors(t *testing.T) {
-	nl, out := smallNL(t)
-	if _, err := PlaceIncremental(nl, nil, nil, Config{Outline: out}); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := PlaceIncremental(nil, nil, nil, Config{Outline: out}); err == nil {
-		t.Fatal("expected empty netlist error")
-	}
-}
-
 // TestPlaceContextDeadline proves the contract cmd/sdpfloor's -timeout and
 // the service rely on: a deadline mid-solve returns promptly with
 // context.DeadlineExceeded and a partial Floorplan carrying the
