@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint sdpvet vet-json race portfolio-race cover bench bench-baseline bench-allocs benchdiff fuzz-smoke eco integration clean
+.PHONY: build test check lint sdpvet vet-json race identity portfolio-race cover bench bench-baseline bench-allocs benchdiff fuzz-smoke eco integration clean
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,16 @@ check: lint sdpvet
 
 race:
 	$(GO) test -race -shuffle=on -short -timeout 30m ./...
+
+# identity runs the bitwise pins: the values-only λmin against the full
+# eigendecomposition, the Cholesky factor's bits, the Schur complement and
+# direction right-hand side bits, and the sha256 of the n10 SDP Place trace
+# plus its HPWL bits. Every pin was captured before the kernels it guards
+# were last rewritten, so an optimization that changes a single output bit
+# fails a named test here instead of surfacing as HPWL drift in the
+# end-to-end benchmark. No -race: the pins check values, not scheduling.
+identity:
+	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden)$$' . ./internal/linalg ./internal/sdp
 
 # portfolio-race mirrors CI's portfolio determinism gate: every
 # portfolio/cancellation test twice, shuffled, under the race detector —

@@ -46,10 +46,10 @@ func NewSymEigP(a *Dense, workers int) (*SymEig, error) {
 
 // EigWork is a reusable eigendecomposition workspace: the tridiagonal
 // vectors, sort permutation, and low-rank reconstruction buffers are
-// recycled across Factor calls, and the parallel dispatch closures are
-// bound once — so repeated same-sized decompositions (the ADMM projection
-// loop, the IPM step-length checks) allocate nothing after the first call.
-// Not safe for concurrent use.
+// recycled across Factor and MinEigenvalue calls, and the parallel dispatch
+// closures are bound once — so repeated same-sized decompositions (the ADMM
+// projection loop) and smallest-eigenvalue queries (the IPM step lengths)
+// allocate nothing after the first call. Not safe for concurrent use.
 type EigWork struct {
 	eig  SymEig
 	v    *Dense
@@ -111,22 +111,57 @@ func (w *EigWork) Factor(a *Dense, workers int) (*SymEig, error) {
 	if a.Rows != a.Cols {
 		panic("linalg: SymEig of non-square matrix")
 	}
-	n := a.Rows
-	if n == 0 {
+	if a.Rows == 0 {
 		w.eig = SymEig{Values: nil, V: NewDense(0, 0)}
 		return &w.eig, nil
 	}
-	w.ensure(n)
-	w.workers = workers
-	w.v.CopyFrom(a)
-	w.v.Symmetrize()
-	w.tred2()
-	if err := tql2(w.v, w.d, w.e); err != nil {
+	if err := w.decompose(a, workers, true); err != nil {
 		return nil, err
 	}
 	w.sortEig()
 	w.eig = SymEig{Values: w.d, V: w.v}
 	return &w.eig, nil
+}
+
+// MinEigenvalue returns the smallest eigenvalue of the symmetric matrix a
+// (read as Factor reads it) without the eigenvectors: the Householder
+// reduction skips the transform accumulation and the QL iteration skips the
+// vector rotations, neither of which feeds the eigenvalues. The result and
+// the error are bitwise those of Factor(a, workers) followed by
+// MinEigenvalue, NaN input included. It invalidates any view returned by an
+// earlier Factor on the same workspace. a must be non-empty.
+//
+//sdpvet:hotpath
+func (w *EigWork) MinEigenvalue(a *Dense, workers int) (float64, error) {
+	if a.Rows != a.Cols {
+		panic("linalg: SymEig of non-square matrix")
+	}
+	if a.Rows == 0 {
+		panic("linalg: MinEigenvalue of an empty matrix")
+	}
+	w.eig = SymEig{}
+	if err := w.decompose(a, workers, false); err != nil {
+		return 0, err
+	}
+	w.sortIdx()
+	return w.d[w.idx[0]], nil
+}
+
+// decompose runs the tridiagonal reduction and the QL iteration on a,
+// leaving the unsorted eigenvalues in w.d and, when vectors is set, the
+// eigenvectors in the columns of w.v.
+//
+//sdpvet:hotpath
+func (w *EigWork) decompose(a *Dense, workers int, vectors bool) error {
+	w.ensure(a.Rows)
+	w.workers = workers
+	w.v.CopyFrom(a)
+	w.v.Symmetrize()
+	w.tred2(vectors)
+	if !vectors {
+		return tql2(nil, w.d, w.e)
+	}
+	return tql2(w.v, w.d, w.e)
 }
 
 // eigParGrain is the approximate per-step flop count below which the tred2
@@ -135,13 +170,17 @@ func (w *EigWork) Factor(a *Dense, workers int) (*SymEig, error) {
 const eigParGrain = 16384
 
 // tred2 reduces the symmetric matrix stored in w.v to tridiagonal form using
-// Householder transformations, accumulating the orthogonal transform in v.
-// On return w.d holds the diagonal and w.e the subdiagonal (e[0] == 0).
-// This is the classic Bowdler–Martin–Reinsch–Wilkinson procedure. The
-// similarity rank-2 update and the transform accumulation are parallelized
-// over their independent columns; everything with cross-column coupling (the
-// e-vector accumulation) stays sequential.
-func (w *EigWork) tred2() {
+// Householder transformations and, when vectors is set, accumulates the
+// orthogonal transform in v. On return w.d holds the diagonal and w.e the
+// subdiagonal (e[0] == 0); the accumulation reads d and e but never writes
+// them, so both are the same with or without it. This is the classic
+// Bowdler–Martin–Reinsch–Wilkinson procedure. The similarity rank-2 update
+// and the transform accumulation are parallelized over their independent
+// columns; everything with cross-column coupling (the e-vector
+// accumulation) stays sequential.
+//
+//sdpvet:hotpath
+func (w *EigWork) tred2(vectors bool) {
 	v, d, e, workers := w.v, w.d, w.e, w.workers
 	n := v.Rows
 	for j := 0; j < n; j++ {
@@ -211,6 +250,15 @@ func (w *EigWork) tred2() {
 		}
 		d[i] = h
 	}
+	if !vectors {
+		// The diagonal the accumulation would park in row n−1 and copy
+		// back into d below.
+		for j := 0; j < n; j++ {
+			d[j] = v.At(j, j)
+		}
+		e[0] = 0
+		return
+	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
 		v.Set(n-1, i, v.At(i, i))
@@ -269,12 +317,31 @@ func (w *EigWork) acc(lo, hi int) {
 	}
 }
 
-// sortEig sorts eigenvalues ascending (stable insertion sort on a
-// persistent index permutation — the decomposition is O(n³), the sort is
-// noise, and unlike sort.Slice it allocates nothing) and permutes the
-// eigenvector columns to match.
+// sortEig sorts eigenvalues ascending and permutes the eigenvector columns
+// to match.
 func (w *EigWork) sortEig() {
 	v, d, idx := w.v, w.d, w.idx
+	n := len(d)
+	w.sortIdx()
+	for j := 0; j < n; j++ {
+		src := idx[j]
+		w.dd[j] = d[src]
+		for k := 0; k < n; k++ {
+			w.vv.Set(k, j, v.At(k, src))
+		}
+	}
+	copy(d, w.dd)
+	v.CopyFrom(w.vv)
+}
+
+// sortIdx orders the persistent permutation w.idx so that w.d[w.idx[·]]
+// ascends: a stable insertion sort (the decomposition is O(n³), the sort is
+// noise, and unlike sort.Slice it allocates nothing). Its comparison also
+// decides where NaN eigenvalues land, so Factor and MinEigenvalue share it.
+//
+//sdpvet:hotpath
+func (w *EigWork) sortIdx() {
+	d, idx := w.d, w.idx
 	n := len(d)
 	for i := range idx {
 		idx[i] = i
@@ -289,21 +356,15 @@ func (w *EigWork) sortEig() {
 		}
 		idx[j+1] = id
 	}
-	for j := 0; j < n; j++ {
-		src := idx[j]
-		w.dd[j] = d[src]
-		for k := 0; k < n; k++ {
-			w.vv.Set(k, j, v.At(k, src))
-		}
-	}
-	copy(d, w.dd)
-	v.CopyFrom(w.vv)
 }
 
 // tql2 diagonalizes the symmetric tridiagonal matrix (d, e) with the
 // implicit-shift QL algorithm, applying the rotations to the columns of v.
+// A nil v skips the rotations; d and e never depend on them.
+//
+//sdpvet:hotpath
 func tql2(v *Dense, d, e []float64) error {
-	n := v.Rows
+	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -356,6 +417,9 @@ func tql2(v *Dense, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
+					if v == nil {
+						continue
+					}
 					for k := 0; k < n; k++ {
 						h = v.At(k, i+1)
 						v.Set(k, i+1, s*v.At(k, i)+c*h)

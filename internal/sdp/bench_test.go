@@ -15,26 +15,43 @@ import (
 // w1 is the sequential baseline; cmd/benchdiff compares all of these
 // against BENCH_baseline.json in CI.
 
-var benchScales = []struct {
+type benchScale struct {
 	name string
 	dim  int // PSD block dimension (≈ modules + 2)
 	m    int // constraint count (≈ working-set distance pairs)
-}{
-	{"n10", 12, 60},
-	{"n50", 52, 220},
-	{"n100", 102, 420},
-	{"n200", 202, 840},
+	// floorplan selects floorplanSDP's constraint shape (identity-block
+	// equalities, distance and outline inequalities with one LP slack each)
+	// over randomFeasibleSDP's random equalities without an LP block.
+	floorplan bool
 }
+
+var benchScales = []benchScale{
+	{"n10", 12, 60, false},
+	{"n50", 52, 220, false},
+	{"n100", 102, 420, false},
+	{"n200", 202, 840, false},
+}
+
+// fpN30 is the sub-problem 1 of a Place on n30 at its mean working set:
+// dim 32, m = 3 + 177 distance pairs + 120 outline bounds = 300.
+var fpN30 = benchScale{"fp-n30", 32, 300, true}
 
 var benchSinkF float64
 
-// benchIPMState builds a solver state mid-iteration: a strictly feasible
-// random problem with the residuals, factorizations, and S⁻¹ populated,
-// ready for formSchur and the direction solves.
-func benchIPMState(b *testing.B, dim, m, workers int) *ipmState {
+// benchIPMState builds a solver state at its initial iterate — on a
+// strictly feasible random problem or a floorplan-shaped one — with the
+// residuals, factorizations, and S⁻¹ populated, ready for formSchur and the
+// direction solves.
+func benchIPMState(b *testing.B, sc benchScale, workers int) *ipmState {
 	b.Helper()
-	rng := rand.New(rand.NewSource(int64(dim*1000 + m)))
-	p := randomFeasibleSDP(rng, dim, m)
+	rng := rand.New(rand.NewSource(int64(sc.dim*1000 + sc.m)))
+	var p *Problem
+	if sc.floorplan {
+		n := sc.dim - 2
+		p = floorplanSDP(rng, n, sc.m-3-4*n)
+	} else {
+		p = randomFeasibleSDP(rng, sc.dim, sc.m)
+	}
 	opt := IPMOptions{Workers: workers}
 	opt.setDefaults()
 	st := newIPMState(p, opt, nil)
@@ -80,10 +97,10 @@ func ipmFrozenStep(st *ipmState) float64 {
 }
 
 func BenchmarkFormSchur(b *testing.B) {
-	for _, sc := range benchScales {
+	for _, sc := range append(benchScales[:len(benchScales):len(benchScales)], fpN30) {
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/w%d", sc.name, w), func(b *testing.B) {
-				st := benchIPMState(b, sc.dim, sc.m, w)
+				st := benchIPMState(b, sc, w)
 				st.formSchur() // warm the triangular-dispatch free list
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -99,10 +116,10 @@ func BenchmarkFormSchur(b *testing.B) {
 // The allocs/op column is the contract: 0 after warm-up, enforced by the CI
 // alloc gate and TestIPMInnerLoopZeroAlloc.
 func BenchmarkIPMInnerLoop(b *testing.B) {
-	for _, sc := range benchScales[:3] {
+	for _, sc := range append(benchScales[:3:3], fpN30) {
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/w%d", sc.name, w), func(b *testing.B) {
-				st := benchIPMState(b, sc.dim, sc.m, w)
+				st := benchIPMState(b, sc, w)
 				ipmFrozenStep(st) // warm up the arena and dispatch state
 				b.ReportAllocs()
 				b.ResetTimer()

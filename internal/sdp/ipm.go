@@ -36,8 +36,8 @@ type IPMOptions struct {
 	X0, S0     []*linalg.Dense
 	XLP0, SLP0 []float64
 	Y0         []float64
-	// Reuse, when non-nil, caches the equilibration and the symmetric
-	// constraint-entry expansion across a sequence of solves whose
+	// Reuse, when non-nil, caches the equilibration and the constraint
+	// layout the Schur assembly reads across a sequence of solves whose
 	// constraint set is unchanged (see IPMReuse). Independent of the warm
 	// start: either can be used without the other.
 	Reuse *IPMReuse
@@ -89,8 +89,8 @@ type ipmState struct {
 	nb   int // number of PSD blocks
 	m    int // number of constraints
 	nu   float64
-	sym  [][][]Entry // sym[k][b]: constraint k's entries in block b, both orientations
-	warm bool        // iterate seeded from IPMOptions.{X0,S0,Y0,...}
+	lay  *conLayout
+	warm bool // iterate seeded from IPMOptions.{X0,S0,Y0,...}
 
 	x, s     []*linalg.Dense
 	xlp, slp []float64
@@ -166,13 +166,13 @@ func SolveIPM(p *Problem, opt IPMOptions) (*Solution, error) {
 			opt.Y0 = y0
 		}
 	}
-	var sym [][][]Entry
+	var lay *conLayout
 	if reuseHit {
-		sym = opt.Reuse.sym
+		lay = opt.Reuse.lay
 	}
-	st := newIPMState(p, opt, sym)
+	st := newIPMState(p, opt, lay)
 	if opt.Reuse != nil && !reuseHit {
-		opt.Reuse.store(orig, opt.NoScale, sp, st.sym)
+		opt.Reuse.store(orig, opt.NoScale, sp, st.lay)
 	}
 	sol := st.run()
 	if sp != nil {
@@ -190,34 +190,18 @@ func SolveIPM(p *Problem, opt IPMOptions) (*Solution, error) {
 	return sol, nil
 }
 
-// newIPMState prepares the working state. sym, when non-nil, is a cached
-// symmetric-entry expansion from IPMReuse (valid because the constraint set
-// is unchanged); nil builds it fresh.
-func newIPMState(p *Problem, opt IPMOptions, sym [][][]Entry) *ipmState {
+// newIPMState prepares the working state. lay, when non-nil, is a cached
+// constraint layout from IPMReuse (valid because the constraint set is
+// unchanged); nil builds it fresh.
+func newIPMState(p *Problem, opt IPMOptions, lay *conLayout) *ipmState {
 	st := &ipmState{p: p, opt: opt, nb: len(p.PSDDims), m: len(p.Cons)}
 	st.workers = parallel.Workers(opt.Workers)
 	st.nu = float64(p.coneDim())
 	st.b = p.rhsVector()
 	st.bn, st.cn = p.dataNorms()
-
-	// Expanded symmetric entries: both orientations for off-diagonal.
-	if sym != nil {
-		st.sym = sym
-	} else {
-		st.sym = make([][][]Entry, st.m)
-		for k := range p.Cons {
-			st.sym[k] = make([][]Entry, st.nb)
-			for bidx, es := range p.Cons[k].PSD {
-				out := make([]Entry, 0, 2*len(es))
-				for _, e := range es {
-					out = append(out, e)
-					if e.I != e.J {
-						out = append(out, Entry{I: e.J, J: e.I, V: e.V})
-					}
-				}
-				st.sym[k][bidx] = out
-			}
-		}
+	st.lay = lay
+	if lay == nil {
+		st.lay = newConLayout(p)
 	}
 
 	// Initial point: scaled identities (SDPT3-style heuristics).
@@ -708,13 +692,91 @@ func factorSchur(w *linalg.CholWork, schur *linalg.Dense, workers int) (*linalg.
 	return nil, 8, err
 }
 
-// formSchur builds M_kl = Σ_blocks tr(A_k X A_l S⁻¹) + Σ_i a_ki a_li xᵢ/sᵢ
+// conLayout is the constraint data in the form the Schur assembly and the
+// direction right-hand side read. ents holds every constraint's PSD entries
+// expanded to both orientations, block-major then constraint-major, so the
+// Schur row sweep walks it sequentially; an off-diagonal (I, J) is listed
+// as (J, I) first, then (I, J). Every sum over a constraint's entries runs
+// in list order, so that order is part of the solver's exact rounding. lp
+// holds the LP part of the Schur complement, Σ_i a_ki a_li xᵢ/sᵢ, as one
+// term per matching coefficient pair with l ≤ k: only rows that share an
+// LP variable contribute, which for the floorplan problem (one slack per
+// inequality) is just the diagonal. The layout depends only on the
+// constraint set, so IPMReuse caches it across solves.
+type conLayout struct {
+	ents  []schurEntry
+	off   [][]int  // block b, constraint k: ents[off[b][k]:off[b][k+1]]
+	lp    []lpTerm // row k's terms, by column then coefficient order
+	lpOff []int    // row k: lp[lpOff[k]:lpOff[k+1]]
+}
+
+// schurEntry is one expanded constraint entry A[I][J] = V of an n×n block,
+// with the column offset J·n precomputed.
+type schurEntry struct {
+	V     float64
+	I, Jn int
+}
+
+// lpTerm adds V·x_i/s_i to element (k, l) of the Schur complement; V is the
+// product of row k's and row l's coefficients on LP variable i.
+type lpTerm struct {
+	V    float64
+	l, i int32
+}
+
+func newConLayout(p *Problem) *conLayout {
+	m := len(p.Cons)
+	lay := &conLayout{off: make([][]int, len(p.PSDDims)), lpOff: make([]int, 1, m+1)}
+	size, nlp := 0, 0
+	for k := range p.Cons {
+		for _, es := range p.Cons[k].PSD {
+			size += 2 * len(es)
+		}
+		nlp += len(p.Cons[k].LP)
+	}
+	lay.ents = make([]schurEntry, 0, size)
+	lay.lp = make([]lpTerm, 0, nlp) // exact when no two rows share an LP variable
+	for bidx, n := range p.PSDDims {
+		off := make([]int, 1, m+1)
+		off[0] = len(lay.ents)
+		for k := range p.Cons {
+			if c := &p.Cons[k]; bidx < len(c.PSD) {
+				for _, e := range c.PSD[bidx] {
+					lay.ents = append(lay.ents, schurEntry{V: e.V, I: e.J, Jn: e.I * n})
+					if e.I != e.J {
+						lay.ents = append(lay.ents, schurEntry{V: e.V, I: e.I, Jn: e.J * n})
+					}
+				}
+			}
+			off = append(off, len(lay.ents))
+		}
+		lay.off[bidx] = off
+	}
+	for k := range p.Cons {
+		c := &p.Cons[k]
+		for l := 0; l <= k; l++ {
+			for _, e := range c.LP {
+				for _, f := range p.Cons[l].LP {
+					if e.I == f.I {
+						lay.lp = append(lay.lp, lpTerm{V: e.V * f.V, l: int32(l), i: int32(e.I)})
+					}
+				}
+			}
+		}
+		lay.lpOff = append(lay.lpOff, len(lay.lp))
+	}
+	return lay
+}
+
+// formSchur builds M_kl = Σ_blocks tr(A_l X A_k S⁻¹) + Σ_i a_ki a_li xᵢ/sᵢ
 // into the persistent st.schur. With symmetric data the HKM Schur complement
-// is symmetric positive definite; only the lower triangle is computed and
-// mirrored. Row k costs k+1 pair evaluations, so the row sweep is balanced
-// triangularly (parallel.ForTri); each element (and its mirror) is written by
-// exactly one chunk and computed in the sequential order, so the matrix is
-// bitwise identical for every worker count.
+// is symmetric positive definite, and its consumers — the Cholesky and the
+// diagonal shift of factorSchur — read only the lower triangle, so only that
+// is computed; the strict upper triangle holds stale values. Row k costs k+1
+// pair evaluations, so the row sweep is balanced triangularly
+// (parallel.ForTri); each element is written by exactly one chunk and
+// computed in the sequential order, so the matrix is bitwise identical for
+// every worker count.
 //
 //sdpvet:hotpath
 func (st *ipmState) formSchur() *linalg.Dense {
@@ -722,39 +784,36 @@ func (st *ipmState) formSchur() *linalg.Dense {
 	return st.schur
 }
 
-// schurRows computes rows [klo, khi) of the Schur complement.
+// schurRows computes the lower-triangle part of rows [klo, khi) of the Schur
+// complement. Blocks are the outer loop so each block's row-k entries and
+// matrices are loaded once per row; element (k, l) still accumulates from
+// 0 over the blocks in order and then the LP terms, as the formula reads.
 //
 //sdpvet:hotpath
 func (st *ipmState) schurRows(klo, khi int) {
-	schur := st.schur
+	lay := st.lay
 	for k := klo; k < khi; k++ {
-		for l := 0; l <= k; l++ {
-			v := 0.0
-			for bidx := range st.x {
-				ek := st.sym[k]
-				el := st.sym[l]
-				if bidx >= len(ek) || bidx >= len(el) {
-					continue
-				}
-				xk, sk := st.x[bidx], st.sinv[bidx]
-				n := xk.Cols
-				for _, e := range el[bidx] {
-					for _, f := range ek[bidx] {
-						// tr(A_k X A_l S⁻¹) term: S⁻¹[e.J, f.I] · X[f.J, e.I]
-						v += e.V * f.V * sk.Data[e.J*n+f.I] * xk.Data[f.J*n+e.I]
+		row := st.schur.Row(k)[:k+1]
+		clear(row)
+		for bidx, off := range lay.off {
+			ek := lay.ents[off[k]:off[k+1]]
+			sk, xk := st.sinv[bidx].Data, st.x[bidx].Data
+			lo := off[0]
+			for l, hi := range off[1 : k+2] {
+				v := row[l]
+				el := lay.ents[lo:hi]
+				lo = hi
+				for _, e := range el {
+					for _, f := range ek {
+						// tr(A_l X A_k S⁻¹) term: S⁻¹[f.J, e.I] · X[e.J, f.I]
+						v += e.V * f.V * sk[f.Jn+e.I] * xk[e.Jn+f.I]
 					}
 				}
+				row[l] = v
 			}
-			// LP block.
-			for _, e := range st.p.Cons[k].LP {
-				for _, f := range st.p.Cons[l].LP {
-					if e.I == f.I {
-						v += e.V * f.V * st.xlp[e.I] / st.slp[e.I]
-					}
-				}
-			}
-			schur.Set(k, l, v)
-			schur.Set(l, k, v)
+		}
+		for _, t := range lay.lp[lay.lpOff[k]:lay.lpOff[k+1]] {
+			row[t.l] += t.V * st.xlp[t.i] / st.slp[t.i]
 		}
 	}
 }
@@ -820,26 +879,27 @@ func (st *ipmState) solveDirection(sfac *linalg.Cholesky, d *direction, sigma, m
 //
 //sdpvet:hotpath
 func (st *ipmState) rhsRows(klo, khi int) {
-	p := st.p
+	p, lay := st.p, st.lay
 	sigmaMu, useCorr := st.dSigmaMu, st.dUseCorr
 	for k := klo; k < khi; k++ {
 		v := st.rp[k]
-		for bidx, es := range st.sym[k] {
+		for bidx, off := range lay.off {
+			es := lay.ents[off[k]:off[k+1]]
 			if len(es) == 0 {
 				continue
 			}
-			sinv, x := st.sinv[bidx], st.x[bidx]
-			xrd := st.xrdsinv[bidx]
-			var cs *linalg.Dense
+			sinv, x, xrd := st.sinv[bidx].Data, st.x[bidx].Data, st.xrdsinv[bidx].Data
+			var cs []float64
 			if useCorr {
-				cs = st.corrSinv[bidx]
+				cs = st.corrSinv[bidx].Data
 			}
-			n := x.Cols
+			// ⟨A_k, M⟩ = Σ A[I][J]·M[J][I], entry by entry.
 			for _, e := range es {
-				v -= e.V * (sigmaMu*sinv.Data[e.I*n+e.J] - x.Data[e.I*n+e.J])
-				v += e.V * xrd.Data[e.I*n+e.J]
+				ji := e.Jn + e.I
+				v -= e.V * (sigmaMu*sinv[ji] - x[ji])
+				v += e.V * xrd[ji]
 				if useCorr {
-					v += e.V * cs.Data[e.I*n+e.J]
+					v += e.V * cs[ji]
 				}
 			}
 		}
@@ -858,8 +918,9 @@ func (st *ipmState) rhsRows(klo, khi int) {
 // maxStepPSD returns the largest α such that P + α·ΔP ⪰ 0 for block bidx,
 // using λmin(L⁻¹ ΔP L⁻ᵀ) where P = LLᵀ. Both triangular solves run as
 // row-sweeps over contiguous storage (ΔP is symmetric, so its rows are its
-// columns), and the eigendecomposition reuses the block's workspace; every
-// step is bitwise deterministic across worker counts.
+// columns), and λmin comes from the block's eigen workspace without
+// eigenvectors (EigWork.MinEigenvalue); every step is bitwise deterministic
+// across worker counts.
 //
 //sdpvet:hotpath
 func (st *ipmState) maxStepPSD(chol *linalg.Cholesky, dp *linalg.Dense, bidx int) float64 {
@@ -873,11 +934,10 @@ func (st *ipmState) maxStepPSD(chol *linalg.Cholesky, dp *linalg.Dense, bidx int
 	m1.TransposeInto(m2)
 	chol.ForwardSolveRows(m2, st.workers)
 	m2.Symmetrize()
-	eg, err := st.eigW[bidx].Factor(m2, st.workers)
+	lmin, err := st.eigW[bidx].MinEigenvalue(m2, st.workers)
 	if err != nil {
 		return 0
 	}
-	lmin := eg.MinEigenvalue()
 	if lmin >= 0 {
 		return math.Inf(1)
 	}

@@ -9,8 +9,9 @@ import (
 // right-hand sides, same block dimensions and LP dimension) with a varying
 // objective C — the convex-iteration pattern, where only the direction
 // matrix changes between solves. Pass the same non-nil handle to each solve:
-// on a hit the solver skips the equilibration pass and the expansion of the
-// symmetric constraint entries and reuses the cached copies.
+// on a hit the solver skips the equilibration pass and the construction of
+// the constraint layout the Schur assembly reads, and reuses the cached
+// copies.
 //
 // The solver revalidates only cheap structural invariants (constraint count,
 // block dimensions, per-constraint entry counts, the NoScale flag) and
@@ -24,7 +25,7 @@ type IPMReuse struct {
 	dims    []int
 	counts  []int // per-constraint total entry count (PSD + LP)
 	scaled  *scaledProblem
-	sym     [][][]Entry
+	lay     *conLayout
 }
 
 // matches reports whether the cached state was built for a problem with the
@@ -54,7 +55,7 @@ func (r *IPMReuse) matches(p *Problem, noScale bool) bool {
 }
 
 // store records the structural key of p plus the derived state.
-func (r *IPMReuse) store(p *Problem, noScale bool, sp *scaledProblem, sym [][][]Entry) {
+func (r *IPMReuse) store(p *Problem, noScale bool, sp *scaledProblem, lay *conLayout) {
 	r.valid = true
 	r.noScale = noScale
 	r.m = len(p.Cons)
@@ -69,7 +70,7 @@ func (r *IPMReuse) store(p *Problem, noScale bool, sp *scaledProblem, sym [][][]
 		r.counts = append(r.counts, n)
 	}
 	r.scaled = sp
-	r.sym = sym
+	r.lay = lay
 }
 
 // blocksMatch reports whether bs is a usable warm start for PSD blocks of

@@ -6,8 +6,9 @@ import (
 )
 
 // iterLatencyBuckets are the cumulative upper bounds of the solver
-// iteration-latency histogram (prometheus-style "le" buckets): the wall-clock
-// gap between consecutive per-iteration trace events of one job. The final
+// iteration-latency histogram (prometheus-style "le" buckets): the
+// wall-clock duration of one iteration of one solver run, timed from the
+// run's start event or its previous iteration (see jobRecorder). The final
 // +Inf bucket therefore counts every observed iteration.
 var iterLatencyBuckets = [...]struct {
 	key string

@@ -17,12 +17,16 @@ const progressCheckpointEvery = 2000
 
 // jobRecorder is the trace.Recorder handed to each solve: it forwards every
 // event into the job's bounded ring buffer (served by GET /v1/jobs/{id}/trace)
-// and feeds the service-level iteration-latency histogram with the wall-clock
-// gap between consecutive per-iteration events. Latency is measured here with
-// the recorder's own clock rather than taken from event content, which stays
-// free of timing data so traces remain deterministic. With a journal
-// attached it also checkpoints the iteration count every
-// progressCheckpointEvery iterations.
+// and feeds the service-level iteration-latency histogram with the
+// wall-clock duration of every iteration of every solver run: the gap from
+// a run's "start" event to its first "iter" and between its consecutive
+// "iter" events, where a run is one (Solver, Run) pair. Nested solvers
+// (core around IPM, L-BFGS in the legalizer) and portfolio contenders
+// interleave their events in one job, so gaps across runs would measure
+// none of them. Latency is measured here with the recorder's own clock
+// rather than taken from event content, which stays free of timing data so
+// traces remain deterministic. With a journal attached it also checkpoints
+// the iteration count every progressCheckpointEvery iterations.
 type jobRecorder struct {
 	ring  *trace.Ring
 	m     *Metrics
@@ -30,27 +34,38 @@ type jobRecorder struct {
 	jobID string
 	iters atomic.Int64
 
-	mu       sync.Mutex
-	lastIter time.Time
+	mu   sync.Mutex
+	runs map[runKey]time.Time // open runs: time of their start or latest iter
 }
+
+// runKey identifies one solver run within a job's trace.
+type runKey struct{ solver, run string }
 
 func (r *jobRecorder) Enabled() bool { return true }
 
 func (r *jobRecorder) Record(ev trace.Event) {
 	r.ring.Record(ev)
 	r.m.TraceEvents.Add(1)
-	if ev.Kind != trace.KindIter {
-		return
+	if ev.Kind == trace.KindIter {
+		if n := r.iters.Add(1); r.srv != nil && n%progressCheckpointEvery == 0 {
+			r.srv.journalAppend(jobstore.Record{Job: r.jobID, Event: jobstore.EventProgress, Iters: int(n)})
+		}
 	}
-	if n := r.iters.Add(1); r.srv != nil && n%progressCheckpointEvery == 0 {
-		r.srv.journalAppend(jobstore.Record{Job: r.jobID, Event: jobstore.EventProgress, Iters: int(n)})
-	}
+	key := runKey{ev.Solver, ev.Run}
 	now := time.Now()
 	r.mu.Lock()
-	last := r.lastIter
-	r.lastIter = now
+	last, open := r.runs[key]
+	switch ev.Kind {
+	case trace.KindStart, trace.KindIter:
+		if r.runs == nil {
+			r.runs = make(map[runKey]time.Time)
+		}
+		r.runs[key] = now
+	case trace.KindFinal:
+		delete(r.runs, key)
+	}
 	r.mu.Unlock()
-	if !last.IsZero() {
+	if ev.Kind == trace.KindIter && open {
 		r.m.observeIterLatency(now.Sub(last))
 	}
 }

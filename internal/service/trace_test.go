@@ -141,10 +141,11 @@ func TestMetricsIterationHistogram(t *testing.T) {
 	if snap["trace_events_total"] != 7 { // start + 5 iters + final
 		t.Fatalf("trace_events_total = %d, want 7", snap["trace_events_total"])
 	}
-	// 5 iter events → 4 consecutive-iteration gaps, all fast in-process, so
-	// every cumulative bucket up to +Inf must count all 4.
-	if snap["iter_latency_le_inf_total"] != 4 {
-		t.Fatalf("iter_latency_le_inf_total = %d, want 4", snap["iter_latency_le_inf_total"])
+	// 5 iter events of one run → 5 iteration latencies (the first timed
+	// from the run's start), all fast in-process, so every cumulative bucket
+	// up to +Inf must count all 5.
+	if snap["iter_latency_le_inf_total"] != 5 {
+		t.Fatalf("iter_latency_le_inf_total = %d, want 5", snap["iter_latency_le_inf_total"])
 	}
 	if snap["iter_latency_le_1s_total"] > snap["iter_latency_le_inf_total"] {
 		t.Fatalf("cumulative buckets not monotone: %v", snap)
@@ -153,6 +154,49 @@ func TestMetricsIterationHistogram(t *testing.T) {
 		if _, ok := snap[key]; !ok {
 			t.Fatalf("metrics missing bucket %s", key)
 		}
+	}
+}
+
+// TestIterLatencyPerRun feeds one job's recorder the interleaved stream of
+// a portfolio race — two contender runs, each a core loop around IPM solves
+// — and requires exactly one latency observation per iter event: each run's
+// first iteration is timed from its own start, and no gap between events of
+// different runs or solvers is observed.
+func TestIterLatencyPerRun(t *testing.T) {
+	m := &Metrics{}
+	r := &jobRecorder{ring: trace.NewRing(64), m: m}
+	ev := func(solver, run, kind string) {
+		r.Record(trace.Event{Solver: solver, Run: run, Kind: kind})
+	}
+	ev("portfolio", "", trace.KindStart)
+	ev("core", "a", trace.KindStart)
+	ev("core", "b", trace.KindStart)
+	ev("ipm", "a", trace.KindStart)
+	ev("ipm", "b", trace.KindStart)
+	ev("ipm", "a", trace.KindIter)
+	ev("ipm", "b", trace.KindIter)
+	ev("ipm", "a", trace.KindIter)
+	ev("ipm", "a", trace.KindFinal)
+	ev("core", "a", trace.KindIter)
+	ev("ipm", "b", trace.KindIter)
+	ev("ipm", "a", trace.KindStart) // a second IPM solve of run a
+	ev("ipm", "b", trace.KindFinal)
+	ev("ipm", "a", trace.KindIter)
+	ev("core", "b", trace.KindIter)
+	ev("ipm", "a", trace.KindFinal)
+	ev("core", "a", trace.KindIter)
+	ev("core", "a", trace.KindFinal)
+	ev("core", "b", trace.KindFinal)
+	ev("portfolio", "", trace.KindFinal)
+	const iters = 8
+	if got := r.iters.Load(); got != iters {
+		t.Fatalf("counted %d iter events, want %d", got, iters)
+	}
+	if got := m.IterLatency[len(m.IterLatency)-1].Load(); got != iters {
+		t.Fatalf("%d latency observations, want one per iter event (%d)", got, iters)
+	}
+	if len(r.runs) != 0 {
+		t.Fatalf("runs left open after their final events: %v", r.runs)
 	}
 }
 
