@@ -45,8 +45,10 @@ type Incremental struct {
 	// dominant cost the warm entry avoided. The previous full solve is the
 	// available stand-in for a cold solve of the mutated netlist (the two
 	// netlists differ by a small delta); the differential suite measures
-	// the saving against true cold re-solves. Zero when the previous
-	// floorplan carries no solver diagnostics (e.g. an SA result).
+	// the saving against true cold re-solves. Signed: negative when the
+	// warm re-solve took more sub-problem iterations than its parent. Zero
+	// when the previous floorplan carries no solver diagnostics (e.g. an SA
+	// result).
 	SolverItersSaved int `json:"solverItersSaved"`
 }
 

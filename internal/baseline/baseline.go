@@ -313,7 +313,7 @@ func SolveQPOpts(nl *netlist.Netlist, opt QPOptions) (result *Result, err error)
 		}
 		c.Set(i, i, deg+1e-9) // regularization for the pad-free singular case
 	}
-	fac, err := linalg.NewCholesky(c)
+	fac, err := linalg.NewCholesky(c, 1)
 	if err != nil {
 		return nil, err
 	}

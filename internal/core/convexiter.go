@@ -106,7 +106,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			res.SubSolves, res.WarmStarts = bld.subSolves, bld.warmStarts
 		}
 	}()
-	b0 := netlist.BuildBP(bld.baseA, opt.Workers)
+	b0 := netlist.BuildB(bld.baseA, opt.Workers)
 
 	// Working set for the distance constraints.
 	var pairs []pair
@@ -134,7 +134,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 		// sub-problem solve skip its cold start.
 		centers = append([]geom.Point(nil), opt.Prior.Centers...)
 		zp := priorZ(centers)
-		if wp, _, werr := DirectionMatrixP(zp, n, opt.Workers); werr == nil {
+		if wp, _, werr := DirectionMatrix(zp, n, opt.Workers); werr == nil {
 			w = wp
 		}
 		if opt.LazyConstraints {
@@ -153,7 +153,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 		// set by the B diagonal and the layout extent; a penalty around the
 		// mean weighted degree engages from the first round. Experiments
 		// that sweep the paper's raw α values pass Alpha0 explicitly.
-		alpha = maxf(0.5, meanDiagonal(netlist.BuildBP(bld.baseA, opt.Workers))/4)
+		alpha = maxf(0.5, meanDiagonal(netlist.BuildB(bld.baseA, opt.Workers))/4)
 	}
 	for outer := 0; outer < opt.AlphaMaxDoublings; outer++ {
 		var zPrev, wPrev *linalg.Dense
@@ -170,7 +170,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			res.Iterations++
 			// Adaptive B (Eq. 20 / hyper-edge variant).
 			at := adaptiveA(nl, centers, opt.Manhattan, opt.HyperEdge)
-			bt := netlist.BuildBP(at, opt.Workers)
+			bt := netlist.BuildB(at, opt.Workers)
 			c := bld.objectiveC(bt, w, alpha)
 
 			var err error
@@ -195,7 +195,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 
 			// Sub-problem 2: closed-form direction matrix.
 			var wz float64
-			w, wz, err = DirectionMatrixP(z, n, opt.Workers)
+			w, wz, err = DirectionMatrix(z, n, opt.Workers)
 			if err != nil {
 				return nil, fmt.Errorf("core: sub-problem 2 failed: %w", err)
 			}
@@ -273,7 +273,7 @@ func (res *Result) finalize(b0, z *linalg.Dense, n int) {
 	res.Centers = ExtractCenters(z)
 	res.Objective = objectiveValue(b0, z, n)
 	res.WZ = sumSmallestEigen(z, n)
-	if eg, err := linalg.NewSymEig(z); err == nil {
+	if eg, err := linalg.NewSymEig(z, 1); err == nil {
 		res.Rank = eg.NumericalRank(1e-6)
 	}
 }
@@ -402,17 +402,12 @@ func (b *builder) solveProblem(prob *sdp.Problem, pairs []pair) (*sdp.Solution, 
 // Ky Fan theorem the minimizer of ⟨W, Z⟩ over {0 ⪯ W ⪯ I, tr W = n} is
 // W = UUᵀ with U the eigenvectors of the n smallest eigenvalues of Z, and
 // the optimal value is the sum of those eigenvalues. Returns (W, ⟨W,Z⟩).
-func DirectionMatrix(z *linalg.Dense, n int) (*linalg.Dense, float64, error) {
-	return DirectionMatrixP(z, n, 1)
-}
-
-// DirectionMatrixP is DirectionMatrix with the eigendecomposition and the
-// W = UUᵀ product split across the worker pool. Bitwise identical to
-// DirectionMatrix for every worker count.
+// The eigendecomposition and the W = UUᵀ product split across the worker
+// pool; the result is bitwise identical for every worker count.
 //
 //sdpvet:hotpath
-func DirectionMatrixP(z *linalg.Dense, n, workers int) (*linalg.Dense, float64, error) {
-	eg, err := linalg.NewSymEigP(z, workers)
+func DirectionMatrix(z *linalg.Dense, n, workers int) (*linalg.Dense, float64, error) {
+	eg, err := linalg.NewSymEig(z, workers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -428,7 +423,7 @@ func DirectionMatrixP(z *linalg.Dense, n, workers int) (*linalg.Dense, float64, 
 			u.Set(r, col, eg.V.At(r, col))
 		}
 	}
-	w := linalg.MulABtP(u, u, workers)
+	w := linalg.MulABt(u, u, workers)
 	w.Symmetrize()
 	return w, wz, nil
 }
@@ -450,7 +445,7 @@ func ExtractCenters(z *linalg.Dense) []geom.Point {
 func ExtractBestRank2(z *linalg.Dense) ([]geom.Point, error) {
 	n := z.Rows - 2
 	g := z.Submatrix(2, 2, n, n)
-	eg, err := linalg.NewSymEig(g)
+	eg, err := linalg.NewSymEig(g, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +487,7 @@ func objectiveValue(b0, z *linalg.Dense, n int) float64 {
 // sumSmallestEigen returns the sum of the n smallest eigenvalues of z — the
 // optimal ⟨W, Z⟩ of sub-problem 2, i.e. the rank-constraint violation.
 func sumSmallestEigen(z *linalg.Dense, n int) float64 {
-	eg, err := linalg.NewSymEig(z)
+	eg, err := linalg.NewSymEig(z, 1)
 	if err != nil {
 		return 0
 	}

@@ -10,6 +10,7 @@ import (
 	"sdpfloor/internal/geom"
 	"sdpfloor/internal/linalg"
 	"sdpfloor/internal/netlist"
+	"sdpfloor/internal/parallel"
 	"sdpfloor/internal/sdp"
 	"sdpfloor/internal/trace"
 )
@@ -170,7 +171,7 @@ func TestDirectionMatrixClosedFormMatchesSDP(t *testing.T) {
 			z.Set(j, i, v)
 		}
 	}
-	w, wz, err := DirectionMatrix(z, n)
+	w, wz, err := DirectionMatrix(z, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestDirectionMatrixClosedFormMatchesSDP(t *testing.T) {
 	if math.Abs(w.Trace()-float64(n)) > 1e-9 {
 		t.Fatalf("tr W = %g, want %d", w.Trace(), n)
 	}
-	eg, err := linalg.NewSymEig(w)
+	eg, err := linalg.NewSymEig(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,6 +468,57 @@ func TestOptionsWithAllEnhancements(t *testing.T) {
 	o := Options{}.WithAllEnhancements()
 	if !o.NonSquare || !o.Manhattan || !o.HyperEdge {
 		t.Fatalf("enhancements not enabled: %+v", o)
+	}
+}
+
+// TestSetDefaultsResolvesWorkers: Workers = 0 means the pool default for
+// every kernel of a solve, so setDefaults resolves it once instead of
+// leaving each kernel to read 0 its own way (some read it as sequential).
+func TestSetDefaultsResolvesWorkers(t *testing.T) {
+	var o Options
+	o.setDefaults()
+	if o.Workers != parallel.Default() {
+		t.Fatalf("setDefaults: Workers = %d, want parallel.Default() = %d", o.Workers, parallel.Default())
+	}
+	o = Options{Workers: 3}
+	o.setDefaults()
+	if o.Workers != 3 {
+		t.Fatalf("setDefaults changed an explicit Workers = 3 to %d", o.Workers)
+	}
+}
+
+// TestDirectionMatrixBitIdenticalAcrossWorkers runs sub-problem 2 at n = 200,
+// large enough that the eigendecomposition's Householder update and the
+// W = UUᵀ product take their parallel branches, and requires every worker
+// count to reproduce the sequential W and ⟨W, Z⟩ bit for bit.
+func TestDirectionMatrixBitIdenticalAcrossWorkers(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(5))
+	z := linalg.NewDense(n+2, n+2)
+	for i := 0; i < n+2; i++ {
+		for j := 0; j <= i; j++ {
+			v := rng.NormFloat64()
+			z.Set(i, j, v)
+			z.Set(j, i, v)
+		}
+	}
+	ref, refWZ, err := DirectionMatrix(z, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 4, 7} {
+		got, gotWZ, err := DirectionMatrix(z, n, w)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if math.Float64bits(gotWZ) != math.Float64bits(refWZ) {
+			t.Fatalf("workers=%d: ⟨W,Z⟩ = %v, want %v (bitwise)", w, gotWZ, refWZ)
+		}
+		for i := range ref.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
+				t.Fatalf("workers=%d: W element %d = %v, want %v (bitwise)", w, i, got.Data[i], ref.Data[i])
+			}
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func TestDifferentialIPMvsADMM(t *testing.T) {
 		opt.setDefaults()
 		bld := newBuilder(nl, &opt)
 		pairs := bld.allPairs()
-		bt := netlist.BuildBP(bld.baseA, 1)
+		bt := netlist.BuildB(bld.baseA, 1)
 		alpha := maxf(0.5, meanDiagonal(bt)/4)
 		prob := bld.buildProblem(bld.objectiveC(bt, linalg.Identity(bld.dim), alpha), pairs)
 

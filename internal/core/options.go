@@ -24,6 +24,7 @@ import (
 	"context"
 
 	"sdpfloor/internal/geom"
+	"sdpfloor/internal/parallel"
 	"sdpfloor/internal/trace"
 )
 
@@ -173,6 +174,7 @@ func (o *Options) setDefaults() {
 	if o.LazyMaxRounds == 0 {
 		o.LazyMaxRounds = 8
 	}
+	o.Workers = parallel.Workers(o.Workers)
 	if o.SolverTol == 0 {
 		if o.Solver == SolverADMM {
 			o.SolverTol = 2e-5

@@ -95,7 +95,7 @@ func TestDirectionMatrixProjectorProperty(t *testing.T) {
 				z.Set(j, i, v)
 			}
 		}
-		w, _, err := DirectionMatrix(z, n)
+		w, _, err := DirectionMatrix(z, n, 1)
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestDirectionMatrixLowerBoundsObjective(t *testing.T) {
 				z.Set(j, i, v)
 			}
 		}
-		_, opt, err := DirectionMatrix(z, n)
+		_, opt, err := DirectionMatrix(z, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,8 +188,8 @@ func TestBaseBMatrixIsPSD(t *testing.T) {
 				}
 			}
 		}
-		b := netlist.BuildB(a)
-		eg, err := linalg.NewSymEig(b)
+		b := netlist.BuildB(a, 1)
+		eg, err := linalg.NewSymEig(b, 1)
 		if err != nil {
 			return false
 		}

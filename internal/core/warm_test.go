@@ -42,7 +42,7 @@ func subProblemParity(t *testing.T, nl *netlist.Netlist, kind SolverKind, lazy b
 	} else {
 		pairs = bld.allPairs()
 	}
-	bt := netlist.BuildBP(bld.baseA, 1)
+	bt := netlist.BuildB(bld.baseA, 1)
 	alpha := maxf(0.5, meanDiagonal(bt)/4)
 
 	// Iterate 1: cold by construction (nothing recorded yet).
@@ -66,7 +66,7 @@ func subProblemParity(t *testing.T, nl *netlist.Netlist, kind SolverKind, lazy b
 	// Iterate 2: the direction matrix moves, the constraints stay.
 	z := first.X[0].Clone()
 	z.Symmetrize()
-	w2, _, err := DirectionMatrixP(z, bld.n, 1)
+	w2, _, err := DirectionMatrix(z, bld.n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSubProblemWarmAcrossWorkingSetChange(t *testing.T) {
 	all := bld.allPairs()
 	seed := all[:len(all)-3]
 
-	bt := netlist.BuildBP(bld.baseA, 1)
+	bt := netlist.BuildB(bld.baseA, 1)
 	alpha := maxf(0.5, meanDiagonal(bt)/4)
 	c := bld.objectiveC(bt, linalg.Identity(bld.dim), alpha)
 

@@ -23,13 +23,14 @@ func BenchmarkMatMul(b *testing.B) {
 		x := randMat(rng, n, n)
 		y := randMat(rng, n, n)
 		dst := NewDense(n, n)
+		var mw MatMulWork
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
-				MatMulIntoP(dst, x, y, w) // warm the dispatch free list
+				mw.MatMulInto(dst, x, y, w) // bind the dispatch state, warm the free list
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					MatMulIntoP(dst, x, y, w)
+					mw.MatMulInto(dst, x, y, w)
 				}
 				benchSink = dst.Data[0]
 			})
@@ -43,13 +44,14 @@ func BenchmarkMulABt(b *testing.B) {
 		x := randMat(rng, n, n)
 		y := randMat(rng, n, n)
 		dst := NewDense(n, n)
+		var mw MatMulWork
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
-				MulABtIntoP(dst, x, y, w) // warm the dispatch free list
+				mw.MulABtInto(dst, x, y, w) // bind the dispatch state, warm the free list
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					MulABtIntoP(dst, x, y, w)
+					mw.MulABtInto(dst, x, y, w)
 				}
 				benchSink = dst.Data[0]
 			})
@@ -65,7 +67,7 @@ func BenchmarkCholesky(b *testing.B) {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					c, err := NewCholeskyP(a, w)
+					c, err := NewCholesky(a, w)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -79,17 +81,21 @@ func BenchmarkCholesky(b *testing.B) {
 func BenchmarkCholInverse(b *testing.B) {
 	for _, n := range benchSizes {
 		rng := rand.New(rand.NewSource(int64(n)))
-		c, err := NewCholesky(randSPD(rng, n))
+		c, err := NewCholesky(randSPD(rng, n), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSink = c.Inverse().Data[0] // warm the lazily built Lᵀ so allocs/op is benchtime-independent
+		inv := NewDense(n, n)
+		c.InverseInto(inv, 1) // warm the lazily built Lᵀ so allocs/op is benchtime-independent
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				c.InverseInto(inv, w) // bind the dispatch state, warm the free list
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					benchSink = c.InverseP(w).Data[0]
+					c.InverseInto(inv, w)
 				}
+				benchSink = inv.Data[0]
 			})
 		}
 	}
@@ -104,7 +110,7 @@ func BenchmarkSymEig(b *testing.B) {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					eg, err := NewSymEigP(a, w)
+					eg, err := NewSymEig(a, w)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -120,16 +126,20 @@ func BenchmarkPSDProject(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randMat(rng, n, n)
 		a.Symmetrize()
-		eg, err := NewSymEig(a)
-		if err != nil {
+		var ew EigWork
+		if _, err := ew.Factor(a, 1); err != nil {
 			b.Fatal(err)
 		}
+		dst := NewDense(n, n)
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				ew.PSDProjectInto(dst, w) // size the low-rank scratch, warm the free list
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					benchSink = eg.PSDProjectP(w).Data[0]
+					ew.PSDProjectInto(dst, w)
 				}
+				benchSink = dst.Data[0]
 			})
 		}
 	}

@@ -12,15 +12,10 @@ type CGResult struct {
 
 // CG solves the symmetric positive-definite system A x = b with the
 // conjugate-gradient method, starting from x (which is updated in place).
-// It stops when ‖r‖ ≤ tol·max(1, ‖b‖) or after maxIter iterations.
-func CG(mul MulVecFn, b, x []float64, tol float64, maxIter int) CGResult {
-	var w CGWork
-	return CGWith(&w, mul, b, x, tol, maxIter)
-}
-
-// CGWith is CG with the iteration vectors taken from a reusable workspace,
-// so repeated solves allocate nothing after the first.
-func CGWith(w *CGWork, mul MulVecFn, b, x []float64, tol float64, maxIter int) CGResult {
+// It stops when ‖r‖ ≤ tol·max(1, ‖b‖) or after maxIter iterations. The
+// iteration vectors come from the workspace w, so repeated solves allocate
+// nothing after the first; a zero CGWork is ready to use.
+func CG(w *CGWork, mul MulVecFn, b, x []float64, tol float64, maxIter int) CGResult {
 	n := len(b)
 	if len(x) != n {
 		panic("linalg: CG dimension mismatch")

@@ -40,26 +40,14 @@ type Cholesky struct {
 
 // NewCholesky factorizes the symmetric positive-definite matrix a. Only the
 // lower triangle of a is read. Returns ErrNotPositiveDefinite if a pivot is
-// not strictly positive.
-func NewCholesky(a *Dense) (*Cholesky, error) {
-	return NewCholeskyP(a, 1)
-}
-
-// NewCholeskyP is NewCholesky with the blocked factorization's panel solve
-// and trailing update split across the worker pool. Sequential and parallel
-// runs share one blocked kernel: chunk boundaries depend only on the sizes,
-// writes are element-disjoint, and each element's accumulation order (panel
-// by panel, sequential dot within a panel) never changes — so the factor is
-// bitwise identical for every worker count.
-func NewCholeskyP(a *Dense, workers int) (*Cholesky, error) {
-	if a.Rows != a.Cols {
-		panic("linalg: Cholesky of non-square matrix")
-	}
-	c := &Cholesky{L: NewDense(a.Rows, a.Rows)}
-	if err := c.factor(a, workers); err != nil {
-		return nil, err
-	}
-	return c, nil
+// not strictly positive. The blocked factorization's panel solve and
+// trailing update split across the worker pool; chunk boundaries depend only
+// on the sizes, writes are element-disjoint, and each element's accumulation
+// order (panel by panel, sequential dot within a panel) never changes — so
+// the factor is bitwise identical for every worker count.
+func NewCholesky(a *Dense, workers int) (*Cholesky, error) {
+	var w CholWork
+	return w.Factor(a, workers)
 }
 
 // CholWork is a reusable factorization workspace: it owns a Cholesky whose
@@ -462,37 +450,6 @@ func (c *Cholesky) bothRows(lo, hi int) {
 	}
 }
 
-// Solve solves A X = B for a matrix right-hand side, returning X. The
-// columns of B are solved as contiguous rows of Bᵀ (see SolveRows) and
-// transposed back.
-func (c *Cholesky) Solve(b *Dense) *Dense {
-	return c.SolveP(b, 1)
-}
-
-// SolveP solves A X = B with the right-hand-side columns swept in parallel
-// over the worker pool. Bitwise identical to Solve for every worker count.
-func (c *Cholesky) SolveP(b *Dense, workers int) *Dense {
-	n := c.L.Rows
-	if b.Rows != n {
-		panic("linalg: Cholesky Solve dimension mismatch")
-	}
-	xt := b.T()
-	c.SolveRows(xt, workers)
-	return xt.T()
-}
-
-// Inverse returns A⁻¹ computed from the factorization.
-func (c *Cholesky) Inverse() *Dense {
-	return c.InverseP(1)
-}
-
-// InverseP is Inverse with the right-hand sides solved in parallel.
-func (c *Cholesky) InverseP(workers int) *Dense {
-	out := NewDense(c.L.Rows, c.L.Rows)
-	c.InverseInto(out, workers)
-	return out
-}
-
 // InverseInto writes A⁻¹ into dst. Row j of dst is solved in place from the
 // j-th unit vector; since A⁻¹ is symmetric, no final transpose is needed
 // (the result is symmetric to round-off; callers needing exact symmetry
@@ -507,53 +464,4 @@ func (c *Cholesky) InverseInto(dst *Dense, workers int) {
 		dst.Data[i*n+i] = 1
 	}
 	c.SolveRows(dst, workers)
-}
-
-// LogDet returns log det(A) = 2 Σ log Lᵢᵢ.
-func (c *Cholesky) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < c.L.Rows; i++ {
-		s += math.Log(c.L.At(i, i))
-	}
-	return 2 * s
-}
-
-// SolveLowerVec solves L x = b in place (forward substitution only).
-func (c *Cholesky) SolveLowerVec(b []float64) []float64 {
-	n := c.L.Rows
-	for i := 0; i < n; i++ {
-		row := c.L.Row(i)
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= row[k] * b[k]
-		}
-		b[i] = s / row[i]
-	}
-	return b
-}
-
-// SolveLowerTVec solves Lᵀ x = b in place (backward substitution only).
-func (c *Cholesky) SolveLowerTVec(b []float64) []float64 {
-	n := c.L.Rows
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.L.At(k, i) * b[k]
-		}
-		b[i] = s / c.L.At(i, i)
-	}
-	return b
-}
-
-// IsPosDef reports whether the symmetric matrix a is numerically positive
-// definite, by attempting a Cholesky factorization.
-func IsPosDef(a *Dense) bool {
-	_, err := NewCholesky(a)
-	return err == nil
-}
-
-// IsPosDefP is IsPosDef on the parallel factorization.
-func IsPosDefP(a *Dense, workers int) bool {
-	_, err := NewCholeskyP(a, workers)
-	return err == nil
 }

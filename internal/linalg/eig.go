@@ -22,26 +22,17 @@ type SymEig struct {
 // NewSymEig computes the full eigendecomposition of the symmetric matrix a
 // using Householder tridiagonalization followed by the implicit-shift QL
 // algorithm. Only the lower triangle of a is referenced (the matrix is
-// symmetrized internally). Complexity O(n³).
-func NewSymEig(a *Dense) (*SymEig, error) {
-	return NewSymEigP(a, 1)
-}
-
-// NewSymEigP is NewSymEig with the independent column updates of the
-// Householder reduction and its transform accumulation split across the
-// worker pool. The tridiagonal QL phase stays sequential (its rotations are
-// order-dependent and too fine-grained to fork), and every parallelized loop
-// preserves the per-element operation order, so the decomposition is bitwise
-// identical to NewSymEig for every worker count.
-func NewSymEigP(a *Dense, workers int) (*SymEig, error) {
-	w := &EigWork{}
-	eg, err := w.Factor(a, workers)
-	if err != nil {
-		return nil, err
-	}
-	// The view aliases w's buffers; w goes out of scope here, so the caller
-	// owns them.
-	return eg, nil
+// symmetrized internally). Complexity O(n³). The independent column updates
+// of the Householder reduction and its transform accumulation split across
+// the worker pool; the tridiagonal QL phase stays sequential (its rotations
+// are order-dependent and too fine-grained to fork). Every parallelized loop
+// preserves the per-element operation order, so the decomposition is
+// bitwise identical for every worker count.
+func NewSymEig(a *Dense, workers int) (*SymEig, error) {
+	// The view aliases the workspace's buffers; the workspace goes out of
+	// scope here, so the caller owns them.
+	var w EigWork
+	return w.Factor(a, workers)
 }
 
 // EigWork is a reusable eigendecomposition workspace: the tridiagonal
@@ -60,7 +51,7 @@ type EigWork struct {
 	dd  []float64
 	vv  *Dense
 
-	// low-rank reconstruction scratch (applyFnInto)
+	// low-rank reconstruction scratch (ApplyFnInto), sized on first use
 	cols       []int
 	scaled     []float64
 	wbuf, ubuf []float64
@@ -89,10 +80,6 @@ func (w *EigWork) ensure(n int) {
 	w.e = make([]float64, n)
 	w.dd = make([]float64, n)
 	w.idx = make([]int, n)
-	w.cols = make([]int, n)
-	w.scaled = make([]float64, n)
-	w.wbuf = make([]float64, n*n)
-	w.ubuf = make([]float64, n*n)
 }
 
 // dim returns the dimension the workspace is currently sized for.
@@ -441,15 +428,23 @@ func tql2(v *Dense, d, e []float64) error {
 }
 
 // ApplyFnInto writes V diag(f(Values)) Vᵀ for the workspace's current
-// decomposition into dst, building the low-rank factors in the workspace's
-// persistent buffers — the zero-allocation counterpart of applyFnP. dst
-// must be n×n and must not alias the decomposition. Bitwise identical for
-// every worker count.
+// decomposition into dst as the product W Uᵀ of two n×r matrices holding
+// only the columns with f(λ) ≠ 0 (W scaled by f(λ), U the raw
+// eigenvectors). The factors live in the workspace's persistent buffers, so
+// repeated calls allocate nothing. dst must be n×n and must not alias the
+// decomposition. Each output element is one sequential dot product, so the
+// result is bitwise identical for every worker count.
 func (w *EigWork) ApplyFnInto(dst *Dense, f func(float64) float64, workers int) {
 	eg := &w.eig
 	n := len(eg.Values)
 	if dst.Rows != n || dst.Cols != n {
 		panic("linalg: ApplyFnInto dimension mismatch")
+	}
+	if len(w.scaled) < n {
+		w.cols = make([]int, n)
+		w.scaled = make([]float64, n)
+		w.wbuf = make([]float64, n*n)
+		w.ubuf = make([]float64, n*n)
 	}
 	cols := w.cols[:0]
 	scaled := w.scaled[:0]
@@ -466,7 +461,14 @@ func (w *EigWork) ApplyFnInto(dst *Dense, f func(float64) float64, workers int) 
 	}
 	w.wm = Dense{Rows: n, Cols: r, Data: w.wbuf[:n*r]}
 	w.um = Dense{Rows: n, Cols: r, Data: w.ubuf[:n*r]}
-	fillLowRank(&w.wm, &w.um, eg.V, cols, scaled)
+	for i := 0; i < n; i++ {
+		vrow := eg.V.Row(i)
+		wrow, urow := w.wm.Row(i), w.um.Row(i)
+		for jj, j := range cols {
+			urow[jj] = vrow[j]
+			wrow[jj] = scaled[jj] * vrow[j]
+		}
+	}
 	w.mm.MulABtInto(dst, &w.wm, &w.um, workers)
 	dst.Symmetrize()
 }
@@ -486,91 +488,14 @@ func psdClip(x float64) float64 {
 	return x
 }
 
-// fillLowRank gathers the selected eigenvector columns into the n×r factor
-// pair (wm scaled by f(λ), um raw).
-func fillLowRank(wm, um, v *Dense, cols []int, scaled []float64) {
-	n := v.Rows
-	for i := 0; i < n; i++ {
-		vrow := v.Row(i)
-		wrow, urow := wm.Row(i), um.Row(i)
-		for jj, j := range cols {
-			urow[jj] = vrow[j]
-			wrow[jj] = scaled[jj] * vrow[j]
-		}
-	}
-}
-
 // Reconstruct returns V diag(Values) Vᵀ — the matrix represented by the
-// decomposition. Useful in tests and for PSD projections.
+// decomposition — through the low-rank path of ApplyFnInto. Tests use it as
+// the reference reconstruction.
 func (eg *SymEig) Reconstruct() *Dense {
-	return eg.applyFn(func(x float64) float64 { return x })
-}
-
-// applyFn returns V diag(f(Values)) Vᵀ.
-func (eg *SymEig) applyFn(f func(float64) float64) *Dense {
-	return eg.applyFnP(f, 1)
-}
-
-// applyFnP computes V diag(f(Values)) Vᵀ as the product W Uᵀ of two n×r
-// matrices holding only the columns with f(λ) ≠ 0 (W scaled by f(λ), U the
-// raw eigenvectors), with the output rows split across the worker pool. Each
-// output element is one sequential dot product, so the result is bitwise
-// identical for every worker count.
-func (eg *SymEig) applyFnP(f func(float64) float64, workers int) *Dense {
-	n := len(eg.Values)
-	out := NewDense(n, n)
-	cols := make([]int, 0, n)
-	scaled := make([]float64, 0, n)
-	for j := 0; j < n; j++ {
-		if lj := f(eg.Values[j]); lj != 0 {
-			cols = append(cols, j)
-			scaled = append(scaled, lj)
-		}
-	}
-	r := len(cols)
-	if r == 0 {
-		return out
-	}
-	w := NewDense(n, r)
-	u := NewDense(n, r)
-	fillLowRank(w, u, eg.V, cols, scaled)
-	MulABtIntoP(out, w, u, workers)
-	out.Symmetrize()
+	w := EigWork{eig: *eg}
+	out := NewDense(len(eg.Values), len(eg.Values))
+	w.ApplyFnInto(out, func(x float64) float64 { return x }, 1)
 	return out
-}
-
-// PSDProject returns the projection of the symmetric matrix onto the PSD
-// cone: negative eigenvalues are clipped at zero.
-func (eg *SymEig) PSDProject() *Dense {
-	return eg.PSDProjectP(1)
-}
-
-// PSDProjectP is PSDProject with the reconstruction product parallelized
-// over the worker pool.
-func (eg *SymEig) PSDProjectP(workers int) *Dense {
-	return eg.applyFnP(psdClip, workers)
-}
-
-// Sqrt returns the symmetric PSD square root A^{1/2}; eigenvalues below zero
-// (numerical noise) are treated as zero.
-func (eg *SymEig) Sqrt() *Dense {
-	return eg.applyFn(func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return math.Sqrt(x)
-	})
-}
-
-// InvSqrt returns A^{-1/2}; eigenvalues below floor are clamped to floor to
-// keep the result finite on nearly singular input.
-func (eg *SymEig) InvSqrt(floor float64) *Dense {
-	return eg.applyFn(func(x float64) float64 {
-		if x < floor {
-			x = floor
-		}
-		return 1 / math.Sqrt(x)
-	})
 }
 
 // MinEigenvalue returns the smallest eigenvalue.

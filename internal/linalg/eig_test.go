@@ -9,7 +9,7 @@ import (
 
 func TestSymEigKnown2x2(t *testing.T) {
 	a := NewDenseFrom([][]float64{{2, 1}, {1, 2}})
-	eg, err := NewSymEig(a)
+	eg, err := NewSymEig(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestSymEigKnown2x2(t *testing.T) {
 
 func TestSymEigDiagonal(t *testing.T) {
 	a := NewDenseFrom([][]float64{{5, 0, 0}, {0, -2, 0}, {0, 0, 1}})
-	eg, err := NewSymEig(a)
+	eg, err := NewSymEig(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSymEigReconstructProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(12)
 		a := randSym(r, n)
-		eg, err := NewSymEig(a)
+		eg, err := NewSymEig(a, 1)
 		if err != nil {
 			return false
 		}
@@ -59,7 +59,7 @@ func TestSymEigOrthonormalProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(12)
 		a := randSym(r, n)
-		eg, err := NewSymEig(a)
+		eg, err := NewSymEig(a, 1)
 		if err != nil {
 			return false
 		}
@@ -86,7 +86,7 @@ func TestSymEigSortedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(10)
-		eg, err := NewSymEig(randSym(r, n))
+		eg, err := NewSymEig(randSym(r, n), 1)
 		if err != nil {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestSymEigSortedProperty(t *testing.T) {
 func TestSymEigTraceInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randSym(rng, 20)
-	eg, err := NewSymEig(a)
+	eg, err := NewSymEig(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,24 +118,32 @@ func TestSymEigTraceInvariant(t *testing.T) {
 	}
 }
 
+// psdProject returns the PSD-cone projection of the symmetric matrix a
+// through EigWork.PSDProjectInto, the form the ADMM solver runs.
+func psdProject(t *testing.T, a *Dense) *Dense {
+	t.Helper()
+	var w EigWork
+	if _, err := w.Factor(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	p := NewDense(a.Rows, a.Cols)
+	w.PSDProjectInto(p, 1)
+	return p
+}
+
 func TestPSDProject(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
-	eg, err := NewSymEig(a)
+	p := psdProject(t, a)
+	eg, err := NewSymEig(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := eg.PSDProject()
-	eg2, err := NewSymEig(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eg2.MinEigenvalue() < -1e-12 {
-		t.Fatalf("projection not PSD: λmin = %g", eg2.MinEigenvalue())
+	if eg.MinEigenvalue() < -1e-12 {
+		t.Fatalf("projection not PSD: λmin = %g", eg.MinEigenvalue())
 	}
 	// Projection of a PSD matrix is itself.
 	spd := NewDenseFrom([][]float64{{2, 1}, {1, 2}})
-	eg3, _ := NewSymEig(spd)
-	matApproxEqual(t, eg3.PSDProject(), spd, 1e-10, "PSD projection of PSD matrix")
+	matApproxEqual(t, psdProject(t, spd), spd, 1e-10, "PSD projection of PSD matrix")
 }
 
 func TestPSDProjectIsNearestProperty(t *testing.T) {
@@ -144,11 +152,7 @@ func TestPSDProjectIsNearestProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(5)
 		a := randSym(rng, n)
-		eg, err := NewSymEig(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := eg.PSDProject()
+		p := psdProject(t, a)
 		diff := a.Clone()
 		diff.AddScaled(-1, p)
 		dp := diff.FrobNorm()
@@ -163,20 +167,6 @@ func TestPSDProjectIsNearestProperty(t *testing.T) {
 	}
 }
 
-func TestSqrtAndInvSqrt(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randSPD(rng, 6)
-	eg, err := NewSymEig(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := eg.Sqrt()
-	matApproxEqual(t, MatMul(s, s), a, 1e-8, "sqrt squared")
-	is := eg.InvSqrt(1e-300)
-	prod := MatMul(MatMul(is, a), is)
-	matApproxEqual(t, prod, Identity(6), 1e-8, "A^{-1/2} A A^{-1/2}")
-}
-
 func TestNumericalRank(t *testing.T) {
 	// Rank-2 Gram matrix.
 	x := NewDense(2, 5)
@@ -185,7 +175,7 @@ func TestNumericalRank(t *testing.T) {
 		x.Data[i] = rng.NormFloat64()
 	}
 	g := MatMul(x.T(), x)
-	eg, err := NewSymEig(g)
+	eg, err := NewSymEig(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +185,10 @@ func TestNumericalRank(t *testing.T) {
 }
 
 func TestSymEigEmptyAndOne(t *testing.T) {
-	if _, err := NewSymEig(NewDense(0, 0)); err != nil {
+	if _, err := NewSymEig(NewDense(0, 0), 1); err != nil {
 		t.Fatal(err)
 	}
-	eg, err := NewSymEig(NewDenseFrom([][]float64{{42}}))
+	eg, err := NewSymEig(NewDenseFrom([][]float64{{42}}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +201,7 @@ func TestSymEigRepeatedEigenvalues(t *testing.T) {
 	// A multiple of the identity: all eigenvalues equal, V orthonormal.
 	a := Identity(5)
 	a.Scale(3)
-	eg, err := NewSymEig(a)
+	eg, err := NewSymEig(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +218,7 @@ func BenchmarkSymEig100(b *testing.B) {
 	a := randSym(rng, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSymEig(a); err != nil {
+		if _, err := NewSymEig(a, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +229,7 @@ func BenchmarkCholesky200(b *testing.B) {
 	a := randSPD(rng, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewCholesky(a); err != nil {
+		if _, err := NewCholesky(a, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestCholeskyKnown(t *testing.T) {
 	a := NewDenseFrom([][]float64{{4, 2}, {2, 3}})
-	c, err := NewCholesky(a)
+	c, err := NewCholesky(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestCholeskyReconstructProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(10)
 		a := randSPD(r, n)
-		c, err := NewCholesky(a)
+		c, err := NewCholesky(a, 1)
 		if err != nil {
 			return false
 		}
@@ -52,7 +53,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 			xTrue[i] = r.NormFloat64()
 		}
 		b := a.MulVec(xTrue)
-		c, err := NewCholesky(a)
+		c, err := NewCholesky(a, 1)
 		if err != nil {
 			return false
 		}
@@ -71,135 +72,23 @@ func TestCholeskySolveProperty(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); err == nil {
-		t.Fatal("expected ErrNotPositiveDefinite")
-	}
-	if IsPosDef(a) {
-		t.Fatal("IsPosDef true for indefinite matrix")
+	if _, err := NewCholesky(a, 1); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
 
 func TestCholeskyInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(rng, 6)
-	c, err := NewCholesky(a)
+	c, err := NewCholesky(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := c.Inverse()
+	inv := NewDense(6, 6)
+	c.InverseInto(inv, 1)
 	prod := MatMul(a, inv)
 	id := Identity(6)
 	matApproxEqual(t, prod, id, 1e-8, "A * A^-1")
-}
-
-func TestCholeskyLogDet(t *testing.T) {
-	a := NewDenseFrom([][]float64{{2, 0}, {0, 8}})
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c.LogDet()-math.Log(16)) > 1e-12 {
-		t.Fatalf("LogDet = %g, want %g", c.LogDet(), math.Log(16))
-	}
-}
-
-func TestCholeskyTriangularSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randSPD(rng, 5)
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{1, 2, 3, 4, 5}
-	y := c.SolveLowerVec(CloneVec(b))
-	// L y should equal b.
-	ly := c.L.MulVec(y)
-	for i := range b {
-		if math.Abs(ly[i]-b[i]) > 1e-10 {
-			t.Fatalf("SolveLowerVec residual %g", ly[i]-b[i])
-		}
-	}
-	z := c.SolveLowerTVec(CloneVec(b))
-	ltz := c.L.T().MulVec(z)
-	for i := range b {
-		if math.Abs(ltz[i]-b[i]) > 1e-10 {
-			t.Fatalf("SolveLowerTVec residual %g", ltz[i]-b[i])
-		}
-	}
-}
-
-func TestLUSolveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(10)
-		a := NewDense(n, n)
-		for i := range a.Data {
-			a.Data[i] = r.NormFloat64()
-		}
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)) // diagonally dominant → nonsingular
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = r.NormFloat64()
-		}
-		b := a.MulVec(xTrue)
-		lu, err := NewLU(a)
-		if err != nil {
-			return false
-		}
-		x := lu.SolveVec(b)
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-8*(1+NormInf(xTrue)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewDenseFrom([][]float64{{2, 1}, {1, 2}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Det()-3) > 1e-12 {
-		t.Fatalf("Det = %g, want 3", lu.Det())
-	}
-}
-
-func TestLUDetPermutationSign(t *testing.T) {
-	// A matrix requiring a row swap: det should keep its sign.
-	a := NewDenseFrom([][]float64{{0, 1}, {1, 0}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Det()+1) > 1e-12 {
-		t.Fatalf("Det = %g, want -1", lu.Det())
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := NewDenseFrom([][]float64{{1, 2}, {2, 4}})
-	if _, err := NewLU(a); err == nil {
-		t.Fatal("expected ErrSingular")
-	}
-}
-
-func TestLUSolveMatrix(t *testing.T) {
-	a := NewDenseFrom([][]float64{{3, 1}, {1, 2}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := lu.Solve(Identity(2))
-	prod := MatMul(a, x)
-	matApproxEqual(t, prod, Identity(2), 1e-12, "LU inverse")
 }
 
 func TestCG(t *testing.T) {
@@ -212,7 +101,7 @@ func TestCG(t *testing.T) {
 	}
 	b := a.MulVec(xTrue)
 	x := make([]float64, n)
-	res := CG(func(dst, v []float64) {
+	res := CG(&CGWork{}, func(dst, v []float64) {
 		copy(dst, a.MulVec(v))
 	}, b, x, 1e-12, 10*n)
 	if !res.Converged {
@@ -231,7 +120,7 @@ func TestCGExactArithmeticTermination(t *testing.T) {
 	a := NewDenseFrom([][]float64{{2, 1, 0}, {1, 2, 1}, {0, 1, 2}})
 	b := []float64{1, 0, 1}
 	x := make([]float64, 3)
-	res := CG(func(dst, v []float64) { copy(dst, a.MulVec(v)) }, b, x, 1e-10, 6)
+	res := CG(&CGWork{}, func(dst, v []float64) { copy(dst, a.MulVec(v)) }, b, x, 1e-10, 6)
 	if !res.Converged {
 		t.Fatalf("CG failed on tiny system: %+v", res)
 	}

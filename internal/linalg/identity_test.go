@@ -144,7 +144,7 @@ func TestCholeskyGoldenBits(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 65, 129, 191, 300, 531} {
 		a := randSPD(rand.New(rand.NewSource(int64(n))), n)
 		for _, w := range []int{1, 4} {
-			c, err := NewCholeskyP(a, w)
+			c, err := NewCholesky(a, w)
 			if err != nil {
 				t.Fatalf("n=%d w%d: %v", n, w, err)
 			}

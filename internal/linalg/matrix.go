@@ -1,7 +1,8 @@
 // Package linalg provides the dense linear algebra kernels used throughout
-// the floorplanner: matrices, factorizations (Cholesky, LDLᵀ, LU), a
-// symmetric eigensolver, and iterative solvers. Everything is implemented on
-// top of the standard library only; matrices are dense row-major float64.
+// the floorplanner: matrices, a Cholesky factorization, a symmetric
+// eigensolver, matrix products, and a conjugate-gradient solver. Everything
+// is implemented on top of the standard library only; matrices are dense
+// row-major float64.
 //
 // The package is deliberately small and specialized: the SDP interior-point
 // solver needs symmetric matrices of order a few hundred, Cholesky and
@@ -138,18 +139,8 @@ func MatMul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("linalg: MatMul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewDense(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
+	matMulRows(out, a, b, 0, a.Rows)
 	return out
-}
-
-// MatMulInto computes dst = a*b. dst must not alias a or b.
-//
-//sdpvet:hotpath
-func MatMulInto(dst, a, b *Dense) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("linalg: MatMulInto dimension mismatch")
-	}
-	matMulRows(dst, a, b, 0, a.Rows)
 }
 
 // mulTileCols returns the b-panel tile width for mulABtRows: wide enough to
@@ -171,12 +162,11 @@ func mulTileCols(k int) int {
 }
 
 // matMulRows computes rows [lo, hi) of dst = a*b, zeroing them first — the
-// row-range kernel shared by the sequential and parallel matmul entry
-// points. The ikj order streams whole rows of b, which the hardware
-// prefetcher handles well; column-tiling this kernel measured 25–35% slower
-// (extra passes over a's rows and weaker bounds-check elimination), so the
-// cache-blocked variants live only where they pay: mulABtRows and the
-// blocked Cholesky.
+// row-range kernel behind MatMul and MatMulWork.MatMulInto. The ikj order
+// streams whole rows of b, which the hardware prefetcher handles well;
+// column-tiling this kernel measured 25–35% slower (extra passes over a's
+// rows and weaker bounds-check elimination), so the cache-blocked variants
+// live only where they pay: mulABtRows and the blocked Cholesky.
 //
 //sdpvet:hotpath
 func matMulRows(dst, a, b *Dense, lo, hi int) {

@@ -134,6 +134,15 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
+func TestMulABtMatchesMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := randMat(rng, 90, 40)
+	b := randMat(rng, 110, 40)
+	// Values, not bits: MulABt uses the unrolled dot kernel with its own
+	// association.
+	matApproxEqual(t, MulABt(a, b, 1), MatMul(a, b.T()), 1e-9, "MulABt vs MatMul(a, bᵀ)")
+}
+
 func TestMulVecMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := NewDense(4, 3)

@@ -2,82 +2,31 @@ package linalg
 
 import "sdpfloor/internal/parallel"
 
-// Parallel kernel grain sizes: below these, the fork/join cost outweighs the
-// work and the parallel entry points fall back to the sequential kernels.
-// All parallel kernels here split their output row/column space into fixed
-// contiguous chunks with disjoint writes and an unchanged per-element
-// operation order, so results are bitwise identical to the sequential
-// kernels for every worker count.
-const (
-	minParRows  = 64    // matmul/solve rows (or columns) per parallel call
-	minParFlops = 32768 // approximate flop count to justify a fork/join
-)
-
-// MatMulP computes a·b into a new matrix, splitting the rows of a across the
-// shared worker pool. workers ≤ 1 is the sequential MatMul.
-func MatMulP(a, b *Dense, workers int) *Dense {
-	if a.Cols != b.Rows {
-		panic("linalg: MatMulP dimension mismatch")
-	}
-	out := NewDense(a.Rows, b.Cols)
-	MatMulIntoP(out, a, b, workers)
-	return out
-}
-
-// MatMulIntoP computes dst = a·b in parallel over row blocks. dst must not
-// alias a or b. Bitwise identical to MatMulInto for any worker count.
-func MatMulIntoP(dst, a, b *Dense, workers int) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("linalg: MatMulIntoP dimension mismatch")
-	}
-	if workers <= 1 || a.Rows*a.Cols*b.Cols < minParFlops {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.For(workers, a.Rows, 1, func(lo, hi int) {
-		matMulRows(dst, a, b, lo, hi)
-	})
-}
+// minParFlops is the parallel kernels' grain: below this approximate flop
+// count the fork/join cost outweighs the work and a kernel runs its
+// sequential branch. All parallel kernels here split their output row or
+// column space into fixed contiguous chunks with disjoint writes and an
+// unchanged per-element operation order, so results are bitwise identical
+// to the sequential branch for every worker count.
+const minParFlops = 32768
 
 // MulABt computes a·bᵀ into a new matrix: a is m×k, b is n×k, the result
 // m×n with element (i, j) the dot product of row i of a and row j of b.
-// Both operands stream row-major, so no transpose materializes.
-func MulABt(a, b *Dense) *Dense {
+// Both operands stream row-major, so no transpose materializes. The output
+// rows split across the worker pool; each element is one sequential dot
+// product, so the result is bitwise identical for every worker count.
+func MulABt(a, b *Dense, workers int) *Dense {
 	out := NewDense(a.Rows, b.Rows)
-	MulABtIntoP(out, a, b, 1)
+	var w MatMulWork
+	w.MulABtInto(out, a, b, workers)
 	return out
-}
-
-// MulABtP is MulABt with the output rows split across the worker pool.
-func MulABtP(a, b *Dense, workers int) *Dense {
-	out := NewDense(a.Rows, b.Rows)
-	MulABtIntoP(out, a, b, workers)
-	return out
-}
-
-// MulABtIntoP computes dst = a·bᵀ in parallel over row blocks of dst.
-// Bitwise identical for any worker count (each element is one sequential
-// dot product).
-func MulABtIntoP(dst, a, b *Dense, workers int) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("linalg: MulABtIntoP dimension mismatch")
-	}
-	work := a.Rows * b.Rows * a.Cols
-	if workers <= 1 || work < minParFlops {
-		mulABtRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.For(workers, a.Rows, 1, func(lo, hi int) {
-		mulABtRows(dst, a, b, lo, hi)
-	})
 }
 
 // MatMulWork owns the dispatch state for zero-allocation parallel matrix
 // products: the closure handed to the worker pool is bound once and reads the
-// operand fields, so repeated products allocate nothing in the steady state —
-// unlike MatMulIntoP/MulABtIntoP, whose per-call closures allocate when the
-// parallel branch is taken. Results are bitwise identical to the package
-// functions. Not safe for concurrent use; each solver loop owns its own.
+// operand fields, so repeated products allocate nothing in the steady state.
+// Results are bitwise identical to MatMul and MulABt. Not safe for
+// concurrent use; each solver loop owns its own.
 type MatMulWork struct {
 	dst, a, b   *Dense
 	mmFn, abtFn func(lo, hi int)
@@ -90,8 +39,9 @@ func (w *MatMulWork) bind() {
 	}
 }
 
-// MatMulInto computes dst = a·b through the recycled dispatch state.
-// Bitwise identical to MatMulIntoP for every worker count.
+// MatMulInto computes dst = a·b in parallel over row blocks through the
+// recycled dispatch state. dst must not alias a or b. Bitwise identical to
+// MatMul for every worker count.
 //
 //sdpvet:hotpath
 func (w *MatMulWork) MatMulInto(dst, a, b *Dense, workers int) {
@@ -108,8 +58,9 @@ func (w *MatMulWork) MatMulInto(dst, a, b *Dense, workers int) {
 	w.dst, w.a, w.b = nil, nil, nil
 }
 
-// MulABtInto computes dst = a·bᵀ through the recycled dispatch state.
-// Bitwise identical to MulABtIntoP for every worker count.
+// MulABtInto computes dst = a·bᵀ in parallel over row blocks of dst
+// through the recycled dispatch state. Bitwise identical for every worker
+// count.
 //
 //sdpvet:hotpath
 func (w *MatMulWork) MulABtInto(dst, a, b *Dense, workers int) {

@@ -3,14 +3,16 @@ package linalg
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// workerCounts exercised by every parity test: sequential, small parallel,
-// odd chunking, and more chunks than the pool has goroutines.
-var workerCounts = []int{1, 2, 3, 7, 16}
+// workerCounts exercised by the cross-worker identity table: sequential,
+// small parallel, odd chunking, the benchmark width, and more chunks than a
+// small host's pool has goroutines.
+var workerCounts = []int{1, 2, 3, 4, 7}
 
 func randMat(rng *rand.Rand, r, c int) *Dense {
 	m := NewDense(r, c)
@@ -44,136 +46,131 @@ func assertBitIdentical(t *testing.T, name string, ref, got *Dense, workers int)
 	}
 }
 
-func TestMatMulPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][3]int{{3, 4, 5}, {65, 40, 70}, {130, 130, 130}} {
-		a := randMat(rng, dims[0], dims[1])
-		b := randMat(rng, dims[1], dims[2])
-		ref := MatMul(a, b)
-		for _, w := range workerCounts {
-			assertBitIdentical(t, "MatMulP", ref, MatMulP(a, b, w), w)
-		}
-	}
+// vecDense wraps a vector as a 1×n matrix for assertBitIdentical.
+func vecDense(v []float64) *Dense {
+	return &Dense{Rows: 1, Cols: len(v), Data: append([]float64(nil), v...)}
 }
 
-func TestMulABtBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMat(rng, 90, 40)
-	b := randMat(rng, 110, 40)
-	ref := MulABt(a, b)
-	// Reference against MatMul with an explicit transpose (values, not bits:
-	// MulABt uses the unrolled dot kernel with its own association).
-	chk := MatMul(a, b.T())
-	for i := range ref.Data {
-		if math.Abs(ref.Data[i]-chk.Data[i]) > 1e-9 {
-			t.Fatalf("MulABt element %d = %v, MatMul says %v", i, ref.Data[i], chk.Data[i])
-		}
-	}
-	for _, w := range workerCounts {
-		assertBitIdentical(t, "MulABtP", ref, MulABtP(a, b, w), w)
-	}
-}
-
-func TestCholeskyPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{10, 64, 120} {
-		a := randSPD(rng, n)
-		ref, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for _, w := range workerCounts {
-			got, err := NewCholeskyP(a, w)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, w, err)
-			}
-			assertBitIdentical(t, "NewCholeskyP", ref.L, got.L, w)
-		}
-	}
-}
-
+// TestCholeskyPNotPosDef puts a negative pivot past the first panel, where
+// the parallel branches have already run, and requires every worker count to
+// reject the matrix.
 func TestCholeskyPNotPosDef(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randSPD(rng, 80)
-	a.Set(40, 40, -1) // indefinite
-	for _, w := range workerCounts {
-		if _, err := NewCholeskyP(a, w); err == nil {
-			t.Fatalf("workers=%d: factored an indefinite matrix", w)
-		}
-		if IsPosDefP(a, w) {
-			t.Fatalf("workers=%d: IsPosDefP true for indefinite matrix", w)
+	for _, pivot := range []int{40, 70} {
+		a := randSPD(rand.New(rand.NewSource(4)), 80)
+		a.Set(pivot, pivot, -1)
+		for _, w := range workerCounts {
+			if _, err := NewCholesky(a, w); !errors.Is(err, ErrNotPositiveDefinite) {
+				t.Fatalf("pivot=%d workers=%d: err = %v, want ErrNotPositiveDefinite", pivot, w, err)
+			}
 		}
 	}
 }
 
-func TestSolvePBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randSPD(rng, 70)
-	c, err := NewCholesky(a)
+// TestKernelsBitIdenticalAcrossWorkers runs every kernel that takes a worker
+// count at sizes that take its parallel branch, and requires each worker
+// count to reproduce the sequential output bit for bit. The workspace cases
+// reuse one workspace across all worker counts, so recycled buffers are
+// covered too.
+func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a, b := randMat(rng, 90, 40), randMat(rng, 110, 40)
+	mmA, mmB := randMat(rng, 130, 130), randMat(rng, 130, 130)
+	spd := randSPD(rng, 150) // two panels plus a remainder: both branches fork
+	sym := randSym(rng, 200) // tred2's update forks only from step 182 on
+	rhs := randMat(rng, 33, 150)
+	fac, err := NewCholesky(spd, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := randMat(rng, 70, 33)
-	ref := c.Solve(b)
-	for _, w := range workerCounts {
-		assertBitIdentical(t, "SolveP", ref, c.SolveP(b, w), w)
-	}
-	refInv := c.Inverse()
-	for _, w := range workerCounts {
-		assertBitIdentical(t, "InverseP", refInv, c.InverseP(w), w)
-	}
-}
-
-func TestSymEigPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{5, 80, 150} {
-		a := randMat(rng, n, n)
-		a.Symmetrize()
-		ref, err := NewSymEig(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		refV := ref.V
-		for _, w := range workerCounts {
-			got, err := NewSymEigP(a, w)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, w, err)
+	var mw MatMulWork
+	var cw CholWork
+	var ew EigWork
+	cases := []struct {
+		name string
+		run  func(workers int) ([]*Dense, error)
+	}{
+		{"MulABt", func(w int) ([]*Dense, error) { return []*Dense{MulABt(a, b, w)}, nil }},
+		{"MatMulWork.MatMulInto", func(w int) ([]*Dense, error) {
+			dst := NewDense(130, 130)
+			mw.MatMulInto(dst, mmA, mmB, w)
+			return []*Dense{dst}, nil
+		}},
+		{"MatMulWork.MulABtInto", func(w int) ([]*Dense, error) {
+			dst := NewDense(90, 110)
+			mw.MulABtInto(dst, a, b, w)
+			return []*Dense{dst}, nil
+		}},
+		{"NewCholesky", func(w int) ([]*Dense, error) { return cholL(NewCholesky(spd, w)) }},
+		{"CholWork.Factor", func(w int) ([]*Dense, error) { return cholL(cw.Factor(spd, w)) }},
+		{"Cholesky.ForwardSolveRows", func(w int) ([]*Dense, error) {
+			m := rhs.Clone()
+			fac.ForwardSolveRows(m, w)
+			return []*Dense{m}, nil
+		}},
+		{"Cholesky.SolveRows", func(w int) ([]*Dense, error) {
+			m := rhs.Clone()
+			fac.SolveRows(m, w)
+			return []*Dense{m}, nil
+		}},
+		{"Cholesky.InverseInto", func(w int) ([]*Dense, error) {
+			inv := NewDense(150, 150)
+			fac.InverseInto(inv, w)
+			return []*Dense{inv}, nil
+		}},
+		{"NewSymEig", func(w int) ([]*Dense, error) { return symEigVV(NewSymEig(sym, w)) }},
+		{"EigWork.Factor", func(w int) ([]*Dense, error) { return symEigVV(ew.Factor(sym, w)) }},
+		{"EigWork.MinEigenvalue", func(w int) ([]*Dense, error) {
+			lmin, err := ew.MinEigenvalue(sym, w)
+			return []*Dense{vecDense([]float64{lmin})}, err
+		}},
+		{"EigWork.ApplyFnInto", func(w int) ([]*Dense, error) {
+			if _, err := ew.Factor(sym, 1); err != nil {
+				return nil, err
 			}
-			for j := range ref.Values {
-				if math.Float64bits(ref.Values[j]) != math.Float64bits(got.Values[j]) {
-					t.Fatalf("n=%d workers=%d: eigenvalue %d = %v, want %v", n, w, j, got.Values[j], ref.Values[j])
+			dst := NewDense(200, 200)
+			ew.ApplyFnInto(dst, math.Abs, w)
+			return []*Dense{dst}, nil
+		}},
+		{"EigWork.PSDProjectInto", func(w int) ([]*Dense, error) {
+			if _, err := ew.Factor(sym, 1); err != nil {
+				return nil, err
+			}
+			dst := NewDense(200, 200)
+			ew.PSDProjectInto(dst, w)
+			return []*Dense{dst}, nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := tc.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range workerCounts[1:] {
+				got, err := tc.run(w)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				for i := range ref {
+					assertBitIdentical(t, tc.name, ref[i], got[i], w)
 				}
 			}
-			assertBitIdentical(t, "NewSymEigP.V", refV, got.V, w)
-		}
-		// And it is actually a decomposition.
-		rec := ref.Reconstruct()
-		for i := range a.Data {
-			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-8*float64(n) {
-				t.Fatalf("n=%d: reconstruction off at %d: %v vs %v", n, i, rec.Data[i], a.Data[i])
-			}
-		}
+		})
 	}
 }
 
-func TestPSDProjectPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randMat(rng, 90, 90)
-	a.Symmetrize()
-	eg, err := NewSymEig(a)
+// cholL and symEigVV pass a factorization's error through and otherwise
+// return the matrices the identity table compares.
+func cholL(c *Cholesky, err error) ([]*Dense, error) {
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	ref := eg.PSDProject()
-	for _, w := range workerCounts {
-		assertBitIdentical(t, "PSDProjectP", ref, eg.PSDProjectP(w), w)
-	}
-	// Projection must be PSD up to numerical noise.
-	peg, err := NewSymEig(ref)
+	return []*Dense{c.L.Clone()}, nil
+}
+
+func symEigVV(eg *SymEig, err error) ([]*Dense, error) {
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if peg.MinEigenvalue() < -1e-9 {
-		t.Fatalf("PSD projection has eigenvalue %v", peg.MinEigenvalue())
-	}
+	return []*Dense{vecDense(eg.Values), eg.V.Clone()}, nil
 }

@@ -145,20 +145,16 @@ func (nl *Netlist) PadAdjacency() *linalg.Dense {
 
 // BuildB constructs the constant matrix B of Eq. (8) from a (possibly
 // asymmetric) adjacency matrix A, such that ⟨B, G⟩ = Σᵢⱼ A_ij‖xᵢ−xⱼ‖².
-func BuildB(a *linalg.Dense) *linalg.Dense {
-	return BuildBP(a, 1)
-}
-
-// BuildBP is BuildB with the rows split across the worker pool. Every row of
-// the output is computed independently in the sequential element order, so
-// the result is bitwise identical to BuildB for any worker count.
-func BuildBP(a *linalg.Dense, workers int) *linalg.Dense {
+// The rows split across the worker pool from n ≥ 64 on; every row is
+// computed independently in the sequential element order, so the result is
+// bitwise identical for every worker count.
+func BuildB(a *linalg.Dense, workers int) *linalg.Dense {
 	n := a.Rows
 	if a.Cols != n {
 		panic("netlist: BuildB requires square A")
 	}
 	b := linalg.NewDense(n, n)
-	parallel.For(parallel.Workers(workers), n, 64, func(lo, hi int) {
+	parallel.For(workers, n, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rowSum, colSum := 0.0, 0.0
 			for k := 0; k < n; k++ {

@@ -118,13 +118,36 @@ func TestBuildBInnerProductIdentity(t *testing.T) {
 			x.Set(1, j, centers[j].Y)
 		}
 		g := linalg.MatMul(x.T(), x)
-		b := BuildB(a)
+		b := BuildB(a, 1)
 		lhs := linalg.InnerProd(b, g)
 		rhs := WeightedPairDistance(a, centers, geom.Point.DistSq)
 		return math.Abs(lhs-rhs) <= 1e-8*(1+math.Abs(rhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildBBitIdenticalAcrossWorkers builds B at n = 200, where the rows
+// split across the pool, and requires every worker count to reproduce the
+// sequential matrix bit for bit.
+func TestBuildBBitIdenticalAcrossWorkers(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(3))
+	a := linalg.NewDense(n, n)
+	for i := range a.Data {
+		if rng.Float64() < 0.1 {
+			a.Data[i] = rng.Float64()
+		}
+	}
+	ref := BuildB(a, 1)
+	for _, w := range []int{2, 3, 4, 7} {
+		got := BuildB(a, w)
+		for i := range ref.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
+				t.Fatalf("workers=%d: element %d = %v, want %v (bitwise)", w, i, got.Data[i], ref.Data[i])
+			}
+		}
 	}
 }
 
@@ -140,7 +163,7 @@ func TestBuildBRowSumsZero(t *testing.T) {
 			a.Set(j, i, w)
 		}
 	}
-	b := BuildB(a)
+	b := BuildB(a, 1)
 	for i := 0; i < n; i++ {
 		s := 0.0
 		for j := 0; j < n; j++ {

@@ -223,7 +223,7 @@ func (st *admmState) iterate(sol *Solution, iter int, tracing bool) bool {
 	for k := 0; k < st.m; k++ {
 		st.rhs[k] += mu * (st.b[k] - st.ax[k])
 	}
-	linalg.CGWith(st.cgw, st.aat, st.rhs, st.y, 1e-10, 4*st.m+100)
+	linalg.CG(st.cgw, st.aat, st.rhs, st.y, 1e-10, 4*st.m+100)
 
 	// S-update and X-update from V = C − Aᵀ(y) − μX:
 	// S = Proj_PSD(V), X⁺ = (S − V)/μ = Proj_PSD(−V)/μ.

@@ -34,7 +34,7 @@ func CheckKKT(p *Problem, sol *Solution, tol float64) error {
 		return fmt.Errorf("primal residual ‖A(X)−b‖ = %g > %g", res, tol*(1+bnorm))
 	}
 	for b, x := range sol.X {
-		eg, err := linalg.NewSymEig(x)
+		eg, err := linalg.NewSymEig(x, 1)
 		if err != nil {
 			return fmt.Errorf("eig of X[%d]: %v", b, err)
 		}
@@ -63,7 +63,7 @@ func CheckKKT(p *Problem, sol *Solution, tol float64) error {
 		if f := r.FrobNorm(); f > tol*(1+cn) {
 			return fmt.Errorf("dual residual block %d: ‖C−Aᵀy−S‖ = %g > %g", b, f, tol*(1+cn))
 		}
-		eg, err := linalg.NewSymEig(sol.S[b])
+		eg, err := linalg.NewSymEig(sol.S[b], 1)
 		if err != nil {
 			return fmt.Errorf("eig of S[%d]: %v", b, err)
 		}

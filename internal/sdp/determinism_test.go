@@ -160,8 +160,8 @@ func TestFactorSchurNearSingular(t *testing.T) {
 		u.Set(i, 0, 1+float64(i))
 	}
 	// Rank-1 PSD: plain Cholesky fails at the second pivot.
-	schur := linalg.MulABt(u, u)
-	if _, err := linalg.NewCholesky(schur.Clone()); err == nil {
+	schur := linalg.MulABt(u, u, 1)
+	if _, err := linalg.NewCholesky(schur.Clone(), 1); err == nil {
 		t.Fatal("rank-1 matrix unexpectedly factored without regularization")
 	}
 	dmax := schur.At(m-1, m-1)
@@ -175,7 +175,7 @@ func TestFactorSchurNearSingular(t *testing.T) {
 			t.Fatalf("workers=%d: factorSchur reported %d retries on a matrix plain Cholesky rejects", workers, retries)
 		}
 		// The factor must reproduce the regularized matrix left in s.
-		rec := linalg.MulABt(fac.L, fac.L)
+		rec := linalg.MulABt(fac.L, fac.L, 1)
 		for i := range rec.Data {
 			d := math.Abs(rec.Data[i] - s.Data[i])
 			if d > 1e-6*(1+math.Abs(s.Data[i])) {

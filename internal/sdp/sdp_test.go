@@ -63,7 +63,7 @@ func TestIPMMinEigenvalue(t *testing.T) {
 				c.Set(j, i, v)
 			}
 		}
-		eg, err := linalg.NewSymEig(c)
+		eg, err := linalg.NewSymEig(c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestIPMKyFanMatchesClosedForm(t *testing.T) {
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	eg, err := linalg.NewSymEig(z)
+	eg, err := linalg.NewSymEig(z, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,10 +117,10 @@ func (st *ipmState) tryWarmStart(xi, eta float64) bool {
 	for bidx := range p.PSDDims {
 		wx[bidx] = blendInterior(opt.X0[bidx], warmBlend*xi)
 		ws[bidx] = blendInterior(opt.S0[bidx], warmBlend*eta)
-		if _, err := linalg.NewCholeskyP(wx[bidx], st.workers); err != nil {
+		if _, err := linalg.NewCholesky(wx[bidx], st.workers); err != nil {
 			return false
 		}
-		if _, err := linalg.NewCholeskyP(ws[bidx], st.workers); err != nil {
+		if _, err := linalg.NewCholesky(ws[bidx], st.workers); err != nil {
 			return false
 		}
 	}
