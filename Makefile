@@ -72,12 +72,15 @@ bench:
 bench-baseline:
 	$(GO) run ./cmd/benchdiff run -o BENCH_baseline.json
 
-# bench-allocs mirrors CI's hard alloc gate: one iteration per benchmark
-# (allocation counts are deterministic, so one is enough), then a
-# zero-tolerance comparison of allocs/op and B/op against the committed
-# baseline. Timing is ignored entirely.
+# bench-allocs mirrors CI's hard alloc gate: one iteration per benchmark,
+# three runs, each row keeping its minimum allocs/op and B/op over the
+# runs, then a zero-tolerance comparison against the committed baseline.
+# The minimum usually drops the Go runtime's occasional 96-B sudog, which
+# lands on a random row in a random run (though a row can read it in all
+# three; see docs/PERFORMANCE.md); an allocation in our code shows in every
+# run, so it always fails. Timing is ignored entirely.
 bench-allocs:
-	$(GO) run ./cmd/benchdiff run -benchtime 1x -o BENCH_current.json
+	$(GO) run ./cmd/benchdiff run -benchtime 1x -count 3 -o BENCH_current.json
 	$(GO) run ./cmd/benchdiff compare -gate allocs -baseline BENCH_baseline.json -current BENCH_current.json
 
 # benchdiff runs the kernel benchmarks and compares against the committed

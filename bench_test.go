@@ -341,33 +341,3 @@ func BenchmarkAblationLegalizer(b *testing.B) {
 		b.ReportMetric(hpwl, "hpwl")
 	})
 }
-
-// BenchmarkAblationRepresentation compares the two packing representations
-// (sequence pair with FAST-SP vs B*-tree with contour packing) under the
-// same annealing budget — the trade-off the paper's related work discusses.
-func BenchmarkAblationRepresentation(b *testing.B) {
-	d := benchDesign(b)
-	opt := anneal.Options{Outline: d.Outline, Seed: 9}
-	b.Run("seqpair", func(b *testing.B) {
-		var hpwl float64
-		for i := 0; i < b.N; i++ {
-			res, err := anneal.Solve(d.Netlist, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hpwl = res.HPWL
-		}
-		b.ReportMetric(hpwl, "hpwl")
-	})
-	b.Run("btree", func(b *testing.B) {
-		var hpwl float64
-		for i := 0; i < b.N; i++ {
-			res, err := anneal.SolveBTree(d.Netlist, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hpwl = res.HPWL
-		}
-		b.ReportMetric(hpwl, "hpwl")
-	})
-}

@@ -178,8 +178,11 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(.*)
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // parseBench reads `go test -bench -benchmem` output into a snapshot. When a
-// benchmark appears more than once (-count > 1), the minimum ns/op is kept —
-// the standard noise-robust choice for regression gating.
+// benchmark appears more than once (-count > 1), each column keeps its own
+// minimum across the runs — the standard noise-robust choice for regression
+// gating. The columns are independent: allocs/op and B/op come from the run
+// with the fewest, not from the fastest run (Iterations stays paired with
+// the kept ns/op).
 func parseBench(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{
 		GOOS:       runtime.GOOS,
@@ -222,9 +225,14 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 				res.AllocsPerOp = v
 			}
 		}
-		if prev, ok := snap.Benchmarks[name]; !ok || res.NsPerOp < prev.NsPerOp {
-			snap.Benchmarks[name] = res
+		if prev, ok := snap.Benchmarks[name]; ok {
+			if prev.NsPerOp <= res.NsPerOp {
+				res.Iterations, res.NsPerOp = prev.Iterations, prev.NsPerOp
+			}
+			res.BytesPerOp = min(res.BytesPerOp, prev.BytesPerOp)
+			res.AllocsPerOp = min(res.AllocsPerOp, prev.AllocsPerOp)
 		}
+		snap.Benchmarks[name] = res
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

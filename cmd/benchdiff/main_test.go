@@ -48,16 +48,24 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestParseBenchKeepsMinimum(t *testing.T) {
-	out := `BenchmarkX-4   100   2000 ns/op
-BenchmarkX-4   100   1500 ns/op
-BenchmarkX-4   100   1800 ns/op
+	// Each column keeps its own minimum: the fastest run (1500 ns/op)
+	// carries a stray allocation, so its allocs/op and B/op must not be
+	// the ones kept.
+	out := `BenchmarkX-4   100   2000 ns/op   256 B/op   3 allocs/op
+BenchmarkX-4   100   1500 ns/op   352 B/op   4 allocs/op
+BenchmarkX-4   100   1800 ns/op   288 B/op   3 allocs/op
+BenchmarkY-4   1   900 ns/op   96 B/op   1 allocs/op
+BenchmarkY-4   1   950 ns/op   0 B/op   0 allocs/op
 `
 	snap, err := parseBench(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := snap.Benchmarks["BenchmarkX"]; r.NsPerOp != 1500 {
-		t.Fatalf("want minimum 1500 ns/op across -count runs, got %v", r.NsPerOp)
+	if r := snap.Benchmarks["BenchmarkX"]; r.NsPerOp != 1500 || r.AllocsPerOp != 3 || r.BytesPerOp != 256 {
+		t.Fatalf("BenchmarkX: want per-column minima 1500 ns/op, 256 B/op, 3 allocs/op across -count runs, got %+v", r)
+	}
+	if r := snap.Benchmarks["BenchmarkY"]; r.NsPerOp != 900 || r.AllocsPerOp != 0 || r.BytesPerOp != 0 {
+		t.Fatalf("BenchmarkY: want per-column minima 900 ns/op, 0 B/op, 0 allocs/op, got %+v", r)
 	}
 }
 

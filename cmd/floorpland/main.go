@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"sdpfloor"
 	"sdpfloor/internal/jobstore"
 	"sdpfloor/internal/service"
 	"sdpfloor/internal/version"
@@ -51,7 +50,6 @@ func main() {
 		maxTimeout   = flag.Duration("max-timeout", 30*time.Minute, "cap on per-job timeouts requested by clients")
 		cacheSize    = flag.Int("cache", 128, "result cache entries")
 		traceDepth   = flag.Int("trace-depth", 4096, "per-job solver-telemetry ring size (newest events kept)")
-		portfolioTbl = flag.String("portfolio-defaults", "", "JSON tuning table for portfolio jobs without explicit contenders (empty = built-in table)")
 		dataDir      = flag.String("data-dir", "", "journal directory for crash-safe jobs (empty = in-memory only)")
 		fsyncMode    = flag.String("fsync", "interval", "journal fsync policy: always, interval, or off")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace for running solves on SIGTERM before they are checkpointed")
@@ -80,13 +78,6 @@ func main() {
 	}
 	if *verbose {
 		cfg.Logf = log.Printf
-	}
-	if *portfolioTbl != "" {
-		tbl, err := sdpfloor.LoadPortfolioTable(*portfolioTbl)
-		if err != nil {
-			log.Fatalf("portfolio defaults: %v", err)
-		}
-		cfg.PortfolioDefaults = tbl
 	}
 
 	if *dataDir != "" {

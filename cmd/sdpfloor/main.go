@@ -52,8 +52,7 @@ func main() {
 		dir        = flag.String("dir", "", "directory with <design>.blocks/.nets/.pl files")
 		design     = flag.String("design", "", "design name inside -dir")
 		method     = flag.String("method", "sdp", "global method: sdp, sdp-hier, ar, pp, qp, sa, analytic, portfolio")
-		contend    = flag.String("portfolio", "", "comma-separated contenders to race in priority order (implies -method portfolio); empty with -method portfolio uses the per-size tuning table")
-		tablePath  = flag.String("portfolio-table", "", "JSON tuning table for portfolio contender selection (default: built-in table)")
+		contend    = flag.String("portfolio", "", "comma-separated contenders to race in priority order (implies -method portfolio); empty with -method portfolio picks the contenders by instance size")
 		aspect     = flag.Float64("aspect", 1, "outline height:width ratio")
 		whitespace = flag.Float64("whitespace", 0.15, "outline whitespace fraction")
 		seed       = flag.Int64("seed", 1, "seed for stochastic methods")
@@ -144,13 +143,6 @@ func main() {
 		SkipEnhancements: *basic,
 	}
 	cfg.Portfolio.Contenders = contenders
-	if *tablePath != "" {
-		tbl, err := sdpfloor.LoadPortfolioTable(*tablePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Portfolio.Table = tbl
-	}
 	// -v prints progress lines derived from the trace stream; with -trace
 	// both recorders see the same events.
 	if *verbose {

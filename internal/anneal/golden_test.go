@@ -107,21 +107,3 @@ func TestSolveGolden(t *testing.T) {
 		})
 	}
 }
-
-// TestSolveBTreeGolden pins the B*-tree annealer the same way on n10.
-func TestSolveBTreeGolden(t *testing.T) {
-	d, err := gsrc.Builtin("n10", 1, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveBTree(d.Netlist, Options{Outline: d.Outline, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const hpwlBits, moves, digest = 0x40aa60678992bb9d, 10831, "524ebfb79ec32b0f"
-	got := resultDigest(res)
-	if math.Float64bits(res.HPWL) != hpwlBits || res.Moves != moves || got != digest {
-		t.Fatalf("got HPWL bits %#x (%g), moves %d, digest %q; want %#x, %d, %q",
-			math.Float64bits(res.HPWL), res.HPWL, res.Moves, got, uint64(hpwlBits), moves, digest)
-	}
-}

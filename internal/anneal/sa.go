@@ -24,15 +24,6 @@ type Options struct {
 	MovesPerTemp int
 	// CoolingRate is the geometric temperature decay (default 0.93).
 	CoolingRate float64
-	// MinTemp terminates the schedule (default 1e-5 of the initial temp).
-	MinTemp float64
-	// WirelengthWeight balances HPWL against outline violation in the cost
-	// (default 0.5; the violation term dominates when the packing does not
-	// fit).
-	WirelengthWeight float64
-	// AspectChoices is the number of discrete widths a soft module may take
-	// within its aspect bounds (default 9).
-	AspectChoices int
 	// Init, when non-nil, seeds the annealer with an existing sequence pair
 	// (e.g. from FromPlacement — the pl2sp post-processing used on the
 	// analytical baselines in Table III) instead of a random shuffle.
@@ -52,18 +43,25 @@ type Options struct {
 	Trace trace.Recorder
 }
 
+// Fixed schedule and cost settings of the annealer.
+const (
+	// minTempRatio ends the schedule once the temperature falls below
+	// this fraction of the initial temperature.
+	minTempRatio = 1e-5
+	// wirelengthWeight balances HPWL against outline violation in the
+	// cost; the violation term dominates when the packing does not fit.
+	wirelengthWeight = 0.5
+	// aspectChoices is the number of discrete widths a soft module may
+	// take within its aspect bounds.
+	aspectChoices = 9
+)
+
 func (o *Options) setDefaults(n int) {
 	if o.MovesPerTemp == 0 {
 		o.MovesPerTemp = 30 * n
 	}
 	if o.CoolingRate == 0 {
 		o.CoolingRate = 0.93
-	}
-	if o.WirelengthWeight == 0 {
-		o.WirelengthWeight = 0.5
-	}
-	if o.AspectChoices == 0 {
-		o.AspectChoices = 9
 	}
 }
 
@@ -102,10 +100,7 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 	if opt.T0Scale > 0 {
 		t0 *= opt.T0Scale
 	}
-	minTemp := opt.MinTemp
-	if minTemp == 0 {
-		minTemp = 1e-5 * t0
-	}
+	minTemp := minTempRatio * t0
 
 	st.cur, st.bestCost = cost, cost
 	st.best = st.snapshot()
@@ -269,8 +264,7 @@ func (st *saState) cost() float64 {
 	hpwl := st.ev.HPWL(st.nCache)
 	violW := math.Max(0, p.Width/st.opt.Outline.W()-1)
 	violH := math.Max(0, p.Height/st.opt.Outline.H()-1)
-	lambda := st.opt.WirelengthWeight
-	return lambda*hpwl/st.hpwl0 + (1-lambda)*4*(violW+violH+violW*violH)
+	return wirelengthWeight*hpwl/st.hpwl0 + (1-wirelengthWeight)*4*(violW+violH+violW*violH)
 }
 
 // step proposes one move and accepts it by the Metropolis rule at temp,
@@ -319,8 +313,8 @@ func (st *saState) proposeMove(rng *rand.Rand) {
 			return
 		}
 		*u = saUndo{kind: moveReshape, i: i, oldW: st.w[i], oldH: st.h[i]}
-		step := (st.maxW[i] - st.minW[i]) / float64(st.opt.AspectChoices-1)
-		choice := st.minW[i] + float64(rng.Intn(st.opt.AspectChoices))*step
+		step := (st.maxW[i] - st.minW[i]) / (aspectChoices - 1)
+		choice := st.minW[i] + float64(rng.Intn(aspectChoices))*step
 		st.w[i] = choice
 		st.h[i] = st.areas[i] / choice
 	}

@@ -224,7 +224,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 
 			// Early exit: rank constraint already met — nothing more to gain
 			// from this α.
-			if wz < opt.RankEpsilon*maxf(1, z.Trace()) {
+			if wz < rankEpsilon*maxf(1, z.Trace()) {
 				break
 			}
 			// Convergence of the two sub-problems (Algorithm 1 line 10).
@@ -241,7 +241,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 
 		trZ := z.Trace()
 		res.AlphaFinal = alpha
-		if lastWZ < opt.RankEpsilon*maxf(1, trZ) {
+		if lastWZ < rankEpsilon*maxf(1, trZ) {
 			res.RankOK = true
 			break
 		}
@@ -305,7 +305,7 @@ func (b *builder) solveSub1(c *linalg.Dense, pairs []pair, have map[pair]bool) (
 		b.noteSolution(sol, pairs)
 		z := sol.X[0].Clone()
 		z.Symmetrize()
-		if !b.opt.LazyConstraints || round >= b.opt.LazyMaxRounds {
+		if !b.opt.LazyConstraints || round >= lazyMaxRounds {
 			return z, sol, pairs, have, nil
 		}
 		viol := b.violatedPairs(z, have, 4*b.n)

@@ -86,7 +86,7 @@ type Spec struct {
 	Seed    int64           `json:"seed,omitempty"`
 	Basic   bool            `json:"basic,omitempty"`
 	// Contenders is the explicit portfolio race list (method "portfolio"
-	// only); empty means the server's tuning table picks the set.
+	// only); empty means the set is picked by instance size.
 	Contenders []string `json:"contenders,omitempty"`
 	TimeoutSec float64  `json:"timeoutSec,omitempty"`
 	// Key is the content-addressed cache key of the request, stored so a

@@ -23,8 +23,8 @@
 //     than a solo solve would; the shared internal/parallel pool bounds
 //     actual concurrency either way.
 //
-// See docs/PORTFOLIO.md for the racing semantics and the tuning-table
-// format behind per-size default contender sets.
+// See docs/PORTFOLIO.md for the racing semantics and the per-size default
+// contender sets.
 package portfolio
 
 import (

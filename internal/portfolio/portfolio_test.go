@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -481,69 +480,5 @@ func TestSplitWorkers(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-func TestTuningTablePick(t *testing.T) {
-	tbl := DefaultTable()
-	if err := tbl.Validate(nil); err != nil {
-		t.Fatalf("DefaultTable invalid: %v", err)
-	}
-	small, ok := tbl.Pick(30)
-	if !ok || small.MaxModules != 40 {
-		t.Errorf("Pick(30) = %+v ok=%v, want the ≤40 bucket", small, ok)
-	}
-	if small.Contenders[0] != "sdp" {
-		t.Errorf("small bucket priority contender = %q, want sdp", small.Contenders[0])
-	}
-	mid, _ := tbl.Pick(100)
-	if mid.MaxModules != 120 {
-		t.Errorf("Pick(100) landed in bucket %d, want 120", mid.MaxModules)
-	}
-	big, _ := tbl.Pick(5000)
-	if big.MaxModules != 0 || big.Contenders[0] != "sdp-hier" {
-		t.Errorf("Pick(5000) = %+v, want the hierarchical catch-all", big)
-	}
-	if _, ok := (&Table{}).Pick(10); ok {
-		t.Error("empty table Pick should report !ok")
-	}
-}
-
-func TestTuningTableValidate(t *testing.T) {
-	bad := &Table{Entries: []Entry{{MaxModules: 10, Contenders: []string{"sdp", "sdp"}}}}
-	if err := bad.Validate(nil); err == nil {
-		t.Error("duplicate contender should fail validation")
-	}
-	unknown := &Table{Entries: []Entry{{MaxModules: 10, Contenders: []string{"mystery"}}}}
-	if err := unknown.Validate(func(n string) bool { return n == "sdp" }); err == nil {
-		t.Error("unknown contender should fail validation against the universe")
-	}
-	if err := (&Table{}).Validate(nil); err == nil {
-		t.Error("empty table should fail validation")
-	}
-}
-
-func TestTuningTableRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "defaults.json")
-	if err := SaveTable(path, DefaultTable()); err != nil {
-		t.Fatalf("SaveTable: %v", err)
-	}
-	got, err := LoadTable(path)
-	if err != nil {
-		t.Fatalf("LoadTable: %v", err)
-	}
-	want := DefaultTable()
-	if len(got.Entries) != len(want.Entries) {
-		t.Fatalf("round trip lost entries: %d != %d", len(got.Entries), len(want.Entries))
-	}
-	for i := range want.Entries {
-		w, g := want.Entries[i], got.Entries[i]
-		if g.MaxModules != w.MaxModules || g.Knobs != w.Knobs ||
-			strings.Join(g.Contenders, ",") != strings.Join(w.Contenders, ",") {
-			t.Errorf("entry %d changed in round trip:\n got %+v\nwant %+v", i, g, w)
-		}
-	}
-	if _, err := LoadTable(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("LoadTable of a missing file should error")
 	}
 }

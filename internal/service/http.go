@@ -29,7 +29,7 @@ type jobRequestJSON struct {
 	Seed       int64         `json:"seed,omitempty"`
 	Basic      bool          `json:"basic,omitempty"`
 	// Contenders lists the solo methods a "portfolio" job races, in
-	// priority order; empty uses the server's per-size tuning table.
+	// priority order; empty selects the set by instance size.
 	Contenders []string `json:"contenders,omitempty"`
 	// TimeoutSec bounds the solve; 0 uses the server default.
 	TimeoutSec float64 `json:"timeoutSec,omitempty"`
@@ -352,7 +352,7 @@ type batchRequestJSON struct {
 	Seeds      []int64         `json:"seeds,omitempty"`
 	Basic      bool            `json:"basic,omitempty"`
 	// Contenders applies to any "portfolio" entry in Methods: those jobs
-	// race this contender list; empty uses the server's tuning table.
+	// race this contender list; empty selects the set by instance size.
 	Contenders []string `json:"contenders,omitempty"`
 	TimeoutSec float64  `json:"timeoutSec,omitempty"`
 }

@@ -48,7 +48,7 @@ type Request struct {
 	Timeout time.Duration
 	// Contenders lists the solo methods a portfolio job races, in priority
 	// order. Only valid with MethodPortfolio; empty selects the contender
-	// set from the server's per-size tuning table.
+	// set by instance size (sdpfloor.PortfolioConfig).
 	Contenders []string
 	// Batch is the batch ID this request belongs to; set by SubmitBatch
 	// and by journal replay, empty for standalone jobs.

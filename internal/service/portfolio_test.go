@@ -62,13 +62,12 @@ func TestPortfolioKeyIncludesContenders(t *testing.T) {
 }
 
 // TestPortfolioJobConfig checks what runJob hands the solver: the contender
-// list and default table from the request/server config, and the full
+// list from the request, and the full
 // SolveWorkers budget for the race to split (contenders never oversubscribe
 // beyond a solo job's CPU share).
 func TestPortfolioJobConfig(t *testing.T) {
-	table := sdpfloor.DefaultPortfolioTable()
 	var got sdpfloor.Config
-	s := newTestServer(t, Config{Workers: 1, SolveWorkers: 4, PortfolioDefaults: table},
+	s := newTestServer(t, Config{Workers: 1, SolveWorkers: 4},
 		func(ctx context.Context, nl *sdpfloor.Netlist, c sdpfloor.Config) (*sdpfloor.Floorplan, error) {
 			got = c
 			fp := fakeFloorplan(nl)
@@ -89,9 +88,6 @@ func TestPortfolioJobConfig(t *testing.T) {
 	want := []sdpfloor.Method{sdpfloor.MethodSDP, sdpfloor.MethodSA}
 	if len(got.Portfolio.Contenders) != 2 || got.Portfolio.Contenders[0] != want[0] || got.Portfolio.Contenders[1] != want[1] {
 		t.Fatalf("solver saw contenders %v, want %v", got.Portfolio.Contenders, want)
-	}
-	if got.Portfolio.Table != table {
-		t.Fatal("solver did not receive the server's default tuning table")
 	}
 	if got.Global.Workers != 4 {
 		t.Fatalf("solver got %d workers, want the full SolveWorkers budget 4", got.Global.Workers)

@@ -47,10 +47,6 @@ type Config struct {
 	// GET /v1/jobs/{id}/trace: the newest TraceDepth events are retained,
 	// older ones are dropped and counted (default 4096).
 	TraceDepth int
-	// PortfolioDefaults overrides the built-in per-size tuning table used
-	// by portfolio jobs that do not list explicit contenders. Nil keeps the
-	// built-in defaults.
-	PortfolioDefaults *sdpfloor.PortfolioTable
 	// Journal, when non-nil, makes the job table durable: every state
 	// transition is appended to the write-ahead journal, and Replay (the
 	// states jobstore.Open returned from the same journal) restores the
@@ -582,7 +578,6 @@ func (s *Server) runJob(j *Job) {
 		for _, c := range req.Contenders {
 			cfg.Portfolio.Contenders = append(cfg.Portfolio.Contenders, sdpfloor.Method(c))
 		}
-		cfg.Portfolio.Table = s.cfg.PortfolioDefaults
 	}
 	cfg.Global.Workers = s.cfg.SolveWorkers
 	// ECO jobs enter the convex iteration warm: the journaled prior maps

@@ -12,11 +12,6 @@ import (
 type (
 	// PortfolioReport is one contender's outcome in a finished race.
 	PortfolioReport = portfolio.Report
-	// PortfolioKnobs are the per-size hyperparameters of a tuning entry.
-	PortfolioKnobs = portfolio.Knobs
-	// PortfolioTable is a persisted per-size default table mapping instance
-	// size to a contender set and knobs; see LoadPortfolioTable.
-	PortfolioTable = portfolio.Table
 )
 
 // Contender race-status values reported in PortfolioReport.Status.
@@ -32,14 +27,11 @@ const (
 type PortfolioConfig struct {
 	// Contenders are the solo methods to race, in priority order (the
 	// first contender wins ties). Every entry must come from Methods.
-	// Empty selects the contender set — and tuning knobs — from Table
-	// (or the built-in defaults) by instance size.
+	// Empty selects the contender set and its knobs by instance size (see
+	// docs/PORTFOLIO.md). An explicit list races with exactly the caller's
+	// Config, so a portfolio win stays bitwise reproducible as a solo run
+	// of the winning method.
 	Contenders []Method
-	// Table overrides the built-in per-size default table. It is consulted
-	// only when Contenders is empty: an explicit contender list races with
-	// exactly the caller's Config, so a portfolio win stays bitwise
-	// reproducible as a solo run of the winning method.
-	Table *PortfolioTable
 }
 
 // AnnealKnobs tune the simulated-annealing engine through Config without
@@ -50,26 +42,7 @@ type AnnealKnobs struct {
 	// MovesPerTemp is the number of proposed moves per temperature step
 	// (default 30·n).
 	MovesPerTemp int
-	// MinTemp terminates the schedule (default 1e-5 of the initial temp).
-	MinTemp float64
 }
-
-// LoadPortfolioTable reads a tuning table (the JSON format shipped in
-// results/portfolio_defaults.json) and validates its contender names
-// against the solo-method universe.
-func LoadPortfolioTable(path string) (*PortfolioTable, error) {
-	t, err := portfolio.LoadTable(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(func(name string) bool { return isSoloMethod(Method(name)) }); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// DefaultPortfolioTable returns the built-in per-size default table.
-func DefaultPortfolioTable() *PortfolioTable { return portfolio.DefaultTable() }
 
 func isSoloMethod(m Method) bool {
 	for _, s := range Methods {
@@ -162,37 +135,50 @@ func resolveContenders(nl *Netlist, cfg Config) ([]Method, Config, error) {
 		return cfg.Portfolio.Contenders, cfg, nil
 	}
 
-	table := cfg.Portfolio.Table
-	if table == nil {
-		table = portfolio.DefaultTable()
+	contenders, d := defaultRace(nl.N())
+	// The size defaults fill only the options the caller left at zero:
+	// explicit settings always win.
+	if cfg.Global.Alpha0 == 0 {
+		cfg.Global.Alpha0 = d.Global.Alpha0
 	}
-	entry, ok := table.Pick(nl.N())
-	if !ok {
-		return nil, cfg, fmt.Errorf("sdpfloor: portfolio tuning table is empty")
+	if cfg.Global.ADMMMu0 == 0 {
+		cfg.Global.ADMMMu0 = d.Global.ADMMMu0
 	}
-	contenders := make([]Method, len(entry.Contenders))
-	for i, name := range entry.Contenders {
-		m := Method(name)
-		if !isSoloMethod(m) {
-			return nil, cfg, fmt.Errorf("sdpfloor: tuning table contender %q is not a solo method", name)
-		}
-		contenders[i] = m
+	if cfg.Anneal.CoolingRate == 0 {
+		cfg.Anneal.CoolingRate = d.Anneal.CoolingRate
 	}
-	// Table-selected races inherit the entry's knobs wherever the caller
-	// left the corresponding option at its zero value — explicit settings
-	// always win over learned defaults.
-	k := entry.Knobs
-	if cfg.Global.Alpha0 == 0 && k.Alpha0 > 0 {
-		cfg.Global.Alpha0 = k.Alpha0
-	}
-	if cfg.Global.ADMMMu0 == 0 && k.ADMMMu0 > 0 {
-		cfg.Global.ADMMMu0 = k.ADMMMu0
-	}
-	if cfg.Anneal.CoolingRate == 0 && k.SACoolingRate > 0 {
-		cfg.Anneal.CoolingRate = k.SACoolingRate
-	}
-	if cfg.Anneal.MovesPerTemp == 0 && k.SAMovesPerTemp > 0 {
-		cfg.Anneal.MovesPerTemp = k.SAMovesPerTemp
+	if cfg.Anneal.MovesPerTemp == 0 {
+		cfg.Anneal.MovesPerTemp = d.Anneal.MovesPerTemp
 	}
 	return contenders, cfg, nil
+}
+
+// defaultRace returns the contenders a race without an explicit list runs
+// for an instance of n modules, and the knobs it runs them with, set in the
+// Config fields they tune (zero keeps the engine default):
+//
+//   - n ≤ 40: the full SDP converges in well under a second and wins on
+//     quality; SA and the analytic baseline are cheap hedges that sometimes
+//     legalize first on loose outlines. α0 = 0.5 is the paper's
+//     small-instance setting.
+//   - n ≤ 120: the flat SDP still wins on quality but SA closes the
+//     wall-clock gap; slower cooling keeps SA competitive on HPWL.
+//   - larger: the hierarchical SDP replaces the flat solve, α0 = 1024 is the
+//     paper's n100/n200 setting, and SA gets a longer schedule.
+func defaultRace(n int) ([]Method, Config) {
+	var d Config
+	switch {
+	case n <= 40:
+		d.Global.Alpha0, d.Global.ADMMMu0 = 0.5, 8
+		d.Anneal.CoolingRate = 0.90
+		return []Method{MethodSDP, MethodSA, MethodAnalytic}, d
+	case n <= 120:
+		d.Global.Alpha0 = 512
+		d.Anneal.CoolingRate = 0.93
+		return []Method{MethodSDP, MethodSA}, d
+	default:
+		d.Global.Alpha0 = 1024
+		d.Anneal.CoolingRate, d.Anneal.MovesPerTemp = 0.95, 60
+		return []Method{MethodSDPHier, MethodSA}, d
+	}
 }

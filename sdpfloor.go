@@ -245,7 +245,7 @@ func PlaceContext(ctx context.Context, nl *Netlist, cfg Config) (*Floorplan, err
 		res, err := anneal.Solve(nl, anneal.Options{
 			Outline: cfg.Outline, Seed: cfg.Seed, Context: ctx,
 			MovesPerTemp: cfg.Anneal.MovesPerTemp, CoolingRate: cfg.Anneal.CoolingRate,
-			MinTemp: cfg.Anneal.MinTemp, Trace: cfg.Global.Trace,
+			Trace: cfg.Global.Trace,
 		})
 		if res != nil {
 			// SA already produces a legal floorplan; no legalization needed.
