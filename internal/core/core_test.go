@@ -171,7 +171,7 @@ func TestDirectionMatrixClosedFormMatchesSDP(t *testing.T) {
 			z.Set(j, i, v)
 		}
 	}
-	w, wz, err := DirectionMatrix(z, n, 1)
+	w, wz, _, err := DirectionMatrix(z, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,12 +502,12 @@ func TestDirectionMatrixBitIdenticalAcrossWorkers(t *testing.T) {
 			z.Set(j, i, v)
 		}
 	}
-	ref, refWZ, err := DirectionMatrix(z, n, 1)
+	ref, refWZ, _, err := DirectionMatrix(z, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 4, 7} {
-		got, gotWZ, err := DirectionMatrix(z, n, w)
+		got, gotWZ, _, err := DirectionMatrix(z, n, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

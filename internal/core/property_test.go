@@ -95,7 +95,7 @@ func TestDirectionMatrixProjectorProperty(t *testing.T) {
 				z.Set(j, i, v)
 			}
 		}
-		w, _, err := DirectionMatrix(z, n, 1)
+		w, _, _, err := DirectionMatrix(z, n, 1)
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestDirectionMatrixLowerBoundsObjective(t *testing.T) {
 				z.Set(j, i, v)
 			}
 		}
-		_, opt, err := DirectionMatrix(z, n, 1)
+		_, opt, _, err := DirectionMatrix(z, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

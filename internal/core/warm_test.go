@@ -66,7 +66,7 @@ func subProblemParity(t *testing.T, nl *netlist.Netlist, kind SolverKind, lazy b
 	// Iterate 2: the direction matrix moves, the constraints stay.
 	z := first.X[0].Clone()
 	z.Symmetrize()
-	w2, _, err := DirectionMatrix(z, bld.n, 1)
+	w2, _, _, err := DirectionMatrix(z, bld.n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
