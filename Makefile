@@ -41,13 +41,14 @@ race:
 
 # identity runs the bitwise pins: the values-only λmin against the full
 # eigendecomposition, the Cholesky factor's bits, the Schur complement and
-# direction right-hand side bits, and the sha256 of the n10 SDP Place trace
-# plus its HPWL bits. Every pin was captured before the kernels it guards
+# direction right-hand side bits, the sha256 of the n10 SDP Place trace
+# plus its HPWL bits, and a fixed-α convex iteration that the stall exit
+# must leave untouched. Every pin was captured before the kernels it guards
 # were last rewritten, so an optimization that changes a single output bit
 # fails a named test here instead of surfacing as HPWL drift in the
 # end-to-end benchmark. No -race: the pins check values, not scheduling.
 identity:
-	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden)$$' . ./internal/linalg ./internal/sdp
+	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden|TestFixedAlphaIgnoresStall)$$' . ./internal/linalg ./internal/sdp ./internal/core
 
 # portfolio-race mirrors CI's portfolio determinism gate: every
 # portfolio/cancellation test twice, shuffled, under the race detector —

@@ -184,3 +184,49 @@ func TestRunSurvivesDroppedStart(t *testing.T) {
 		t.Errorf("dropped-start trace not summarized:\n%s", got)
 	}
 }
+
+// TestRunCoreAlphaRounds: a core run prints one row per α round — α, its
+// iterations, the exit reason named from the "exit" field, and ⟨W,Z⟩ at
+// the round's last iteration. A cancelled round has no exit field.
+func TestRunCoreAlphaRounds(t *testing.T) {
+	var b []byte
+	add := func(ev trace.Event) {
+		b = append(trace.AppendJSON(b, ev), '\n')
+	}
+	iter := 0
+	round := func(alpha float64, wz []float64, exit float64) {
+		for i, v := range wz {
+			iter++
+			f := []trace.Field{{Key: "alpha", Val: alpha}, {Key: "alphaIter", Val: float64(i + 1)}, {Key: "wz", Val: v}}
+			if i == len(wz)-1 && exit > 0 {
+				f = append(f, trace.Field{Key: "exit", Val: exit})
+			}
+			add(trace.Event{Solver: "core", Kind: "iter", Iter: iter, Fields: f})
+		}
+	}
+	add(trace.Event{Solver: "core", Kind: "start"})
+	round(16, []float64{600, 250, 240}, 3)
+	round(128, []float64{90, 80, 79.5, 79.4}, 4)
+	round(256, []float64{2, 1.5}, 2)
+	round(1024, []float64{0.5}, 1)
+	round(2048, []float64{0.4, 0.3}, 0)
+	add(trace.Event{Solver: "core", Kind: "final", Iter: iter, Status: "cancelled"})
+
+	var out strings.Builder
+	if err := run(strings.NewReader(string(b)), &out, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, row := range []string{
+		`round\s+alpha\s+iters\s+exit\s+wz`,
+		`\n\s+1\s+16\s+3\s+stall\s+240\n`,
+		`\n\s+2\s+128\s+4\s+max-iter\s+79\.4\n`,
+		`\n\s+3\s+256\s+2\s+converged\s+1\.5\n`,
+		`\n\s+4\s+1024\s+1\s+rank\s+0\.5\n`,
+		`\n\s+5\s+2048\s+2\s+-\s+0\.3\n`,
+	} {
+		if !regexp.MustCompile(row).MatchString(got) {
+			t.Errorf("output lacks row %q:\n%s", row, got)
+		}
+	}
+}

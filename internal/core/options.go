@@ -63,10 +63,13 @@ type Options struct {
 	Alpha0 float64
 	// AlphaMaxDoublings caps the outer loop (default 10).
 	AlphaMaxDoublings int
-	// MaxIter is the paper's max_iter: convex iterations per α (the paper
-	// uses 50 with MOSEK; default here 20). The cap binds in practice: on
-	// the n30 benchmark the first four α rounds each run all 20 iterations
-	// and only the last round stops early, at rank 2.
+	// MaxIter is the paper's max_iter: the hard cap on convex iterations
+	// per α (the paper uses 50 with MOSEK; default here 20). A round
+	// usually ends before it: at rank 2, when the two sub-problems converge
+	// (Epsilon), or, while a larger α is still allowed, once ⟨W, Z⟩ stops
+	// falling. The cap binds mostly in the last allowed round, which never
+	// takes the stall exit, so a fixed-α run (AlphaMaxDoublings 1) runs
+	// until convergence, rank 2, or MaxIter.
 	MaxIter int
 	// Epsilon is the convergence threshold on ‖ΔZ‖+‖ΔW‖ (default 2e-3,
 	// relative to ‖Z‖).
@@ -159,9 +162,24 @@ const (
 	// rankEpsilon declares the rank constraint satisfied when
 	// ⟨W, Z⟩ < rankEpsilon·max(1, tr Z).
 	rankEpsilon = 1e-4
+	// stallFraction ends an α round early, while a larger α is still
+	// allowed, once ⟨W, Z⟩ has fallen by less than this fraction since the
+	// previous convex iteration of the round (both sub-problems solved to
+	// tolerance). Chosen on n10-class generator seeds 1–100
+	// (EXPERIMENTS.md, "Leaving a stalled α round").
+	stallFraction = 0.05
 	// lazyMaxRounds caps constraint-generation rounds per sub-problem-1
 	// solve when LazyConstraints is set.
 	lazyMaxRounds = 8
+)
+
+// Why an α round of the convex iteration ended: the "exit" field of the
+// "core" iter event that closes the round.
+const (
+	exitRank      = 1 // ⟨W, Z⟩ < rankEpsilon·max(1, tr Z): rank 2 reached
+	exitConverged = 2 // Algorithm 1 line 10: ‖ΔZ‖+‖ΔW‖ < Epsilon·(1+‖Z‖)
+	exitStall     = 3 // ⟨W, Z⟩ fell by less than stallFraction; escalate α
+	exitMaxIter   = 4 // MaxIter convex iterations at this α
 )
 
 func (o *Options) setDefaults() {
