@@ -12,11 +12,13 @@ import (
 // placeTraceGolden is the sha256 of the n10 MethodSDP trace (every event's
 // JSONL with the timestamp zeroed, one per line) and placeHPWLGolden the
 // bits of its HPWL; see TestPlaceTraceGolden. Last re-captured when the
-// convex iteration gained its stall exit and the "exit" trace field
-// (EXPERIMENTS.md, "Leaving a stalled α round").
+// outline rows joined the lazy working set (with the core iter event's
+// "bounds" field), distance rows began to assemble as rank-one products,
+// and the legalizer's fallback began to trace its "sa" events
+// (EXPERIMENTS.md, "Outline rows in the working set").
 const (
-	placeTraceGolden = "d2e1fdf02709184e054905e45057092b5cf6e6028ac55dcaad77b5530cff3001"
-	placeHPWLGolden  = 0x40aaa94e0c363a60
+	placeTraceGolden = "2132d899e198aa51fd68649c8ed25e522e07b3287e319a21c4ae2acc11b82c22"
+	placeHPWLGolden  = 0x40aaa94e50d1b85a
 )
 
 // TestPlaceTraceGolden pins the full SDP pipeline on n10 — every convex

@@ -30,9 +30,11 @@ type builder struct {
 	padRowSum []float64
 	padMoment []geom.Point
 	padConst  float64 // Σ_ij Ā_ij‖x̄_j‖², additive objective constant
-	// slackCount tracks consecutive convex iterations in which a working-set
-	// pair's constraint stayed far from active (lazy-constraint dropping).
-	slackCount map[pair]int
+	// pairs and bounds are sub-problem 1's working set of distance and
+	// outline rows (lazy.go). Without LazyConstraints they hold every row
+	// for the whole solve.
+	pairs  lazySet[pair]
+	bounds lazySet[bound]
 	// warm carries the previous sub-problem solution and reuse caches across
 	// the solve sequence (nil until the first solve; see warmstart.go).
 	warm *warmState
@@ -122,9 +124,14 @@ func (b *builder) outlineInset(i int) float64 {
 	return math.Sqrt(b.nl.Modules[i].MinArea/b.aspect[i]) / 2
 }
 
-// buildProblem assembles the SDP for the given objective matrix and distance
-// constraint working set.
-func (b *builder) buildProblem(c *linalg.Dense, pairs []pair) *sdp.Problem {
+// rows returns the current working set.
+func (b *builder) rows() rowSet {
+	return rowSet{pairs: b.pairs.rows, bounds: b.bounds.rows}
+}
+
+// buildProblem assembles the SDP for the given objective matrix and working
+// set of distance and outline rows.
+func (b *builder) buildProblem(c *linalg.Dense, rows rowSet) *sdp.Problem {
 	var cons []sdp.Constraint
 	// Identity block: Z₀₀ = 1, Z₁₁ = 1, Z₀₁ = 0 (Eq. 9).
 	cons = append(cons,
@@ -170,7 +177,7 @@ func (b *builder) buildProblem(c *linalg.Dense, pairs []pair) *sdp.Problem {
 		lp++
 	}
 	// Distance constraints D_ij ≥ bound (Eq. 11 / Eq. 26).
-	for _, p := range pairs {
+	for _, p := range rows.pairs {
 		es := []sdp.Entry{
 			{I: 2 + p.i, J: 2 + p.i, V: 1},
 			{I: 2 + p.j, J: 2 + p.j, V: 1},
@@ -188,19 +195,9 @@ func (b *builder) buildProblem(c *linalg.Dense, pairs []pair) *sdp.Problem {
 		addIneq(es, -cap.MaxDist*cap.MaxDist)
 	}
 	// Fixed-outline bounds on the X block.
-	if b.opt.Outline != nil {
-		o := *b.opt.Outline
-		for i := 0; i < b.n; i++ {
-			if b.nl.Modules[i].Fixed {
-				continue
-			}
-			inset := b.outlineInset(i)
-			// xᵢ ≥ MinX+inset ; −xᵢ ≥ −(MaxX−inset); same for y.
-			addIneq([]sdp.Entry{{I: 0, J: 2 + i, V: 0.5}}, o.MinX+inset)
-			addIneq([]sdp.Entry{{I: 0, J: 2 + i, V: -0.5}}, -(o.MaxX - inset))
-			addIneq([]sdp.Entry{{I: 1, J: 2 + i, V: 0.5}}, o.MinY+inset)
-			addIneq([]sdp.Entry{{I: 1, J: 2 + i, V: -0.5}}, -(o.MaxY - inset))
-		}
+	for _, bd := range rows.bounds {
+		axis, v, rhs := b.boundRow(bd)
+		addIneq([]sdp.Entry{{I: axis, J: 2 + bd.i, V: v}}, rhs)
 	}
 
 	return &sdp.Problem{

@@ -108,17 +108,14 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 	}()
 	b0 := netlist.BuildB(bld.baseA, opt.Workers)
 
-	// Working set for the distance constraints.
-	var pairs []pair
+	// Working set: every outline row, and the seed pairs (all pairs
+	// without LazyConstraints).
 	if opt.LazyConstraints {
-		pairs = bld.seedPairs()
+		bld.pairs = newLazySet(bld.seedPairs())
 	} else {
-		pairs = bld.allPairs()
+		bld.pairs = newLazySet(bld.allPairs())
 	}
-	havePairs := make(map[pair]bool, len(pairs))
-	for _, p := range pairs {
-		havePairs[p] = true
-	}
+	bld.bounds = newLazySet(bld.allBounds())
 
 	res = &Result{}
 	w := linalg.Identity(bld.dim) // W⁰ = I: trace heuristic (Algorithm 1 line 3)
@@ -142,13 +139,9 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			w = wp
 		}
 		if opt.LazyConstraints {
-			viol := bld.violatedPairs(zp, havePairs, 4*bld.n)
-			for _, pr := range viol {
-				havePairs[pr] = true
-			}
-			pairs = append(pairs, viol...)
+			bld.pairs.add(bld.violatedPairs(zp, bld.pairs.have, 4*bld.n))
 		}
-		bld.seedWarmFromPrior(zp, pairs)
+		bld.seedWarmFromPrior(zp, bld.rows())
 	}
 
 	alpha := opt.Alpha0
@@ -185,7 +178,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 
 			var err error
 			prevZ := z
-			z, sol, pairs, havePairs, err = bld.solveSub1(c, pairs, havePairs)
+			z, sol, err = bld.solveSub1(c)
 			if err != nil {
 				if isContextErr(err) {
 					res.finalize(b0, prevZ, n, zWZ, zRank)
@@ -240,7 +233,8 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 					{Key: "obj", Val: objectiveValue(b0, z, n)},
 					{Key: "wz", Val: zWZ},
 					{Key: "trZ", Val: z.Trace()},
-					{Key: "cons", Val: float64(len(pairs))},
+					{Key: "cons", Val: float64(len(bld.pairs.rows))},
+					{Key: "bounds", Val: float64(len(bld.bounds.rows))},
 					{Key: "solverIters", Val: float64(solverIters)},
 					{Key: "warm", Val: boolField(solverWarm)},
 				}
@@ -298,78 +292,55 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// solveSub1 solves sub-problem 1 for the current objective, growing the lazy
-// working set until no distance constraint is violated and dropping pairs
-// that have stayed slack for several consecutive solves (they re-enter via
-// the violation scan if they ever matter again). Each successful solve is
-// recorded on the builder as the warm-start source for the next one — both
-// across lazy rounds and across convex iterations.
-func (b *builder) solveSub1(c *linalg.Dense, pairs []pair, have map[pair]bool) (
-	*linalg.Dense, *sdp.Solution, []pair, map[pair]bool, error) {
-
+// solveSub1 solves sub-problem 1 for the current objective. Under
+// LazyConstraints it grows the working set until no distance or outline row
+// is violated, then drops the rows that have stayed far from active for
+// several consecutive convex iterations (they re-enter via the violation
+// scans if they ever matter again). Outline rows are judged only after a
+// solve that reached tolerance: an unfinished solve (ADMM at its iteration
+// cap) can sit anywhere, and keeps every outline row. Each successful solve
+// is recorded on the builder as the warm-start source for the next one —
+// both across lazy rounds and across convex iterations.
+func (b *builder) solveSub1(c *linalg.Dense) (*linalg.Dense, *sdp.Solution, error) {
 	for round := 0; ; round++ {
-		prob := b.buildProblem(c, pairs)
-		sol, err := b.solveProblem(prob, pairs)
+		rows := b.rows()
+		prob := b.buildProblem(c, rows)
+		sol, err := b.solveProblem(prob, rows)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, err
 		}
 		if sol.Status == sdp.StatusNumericalFailure {
-			return nil, nil, nil, nil, fmt.Errorf("sdp solver: %v (gap %.2g)", sol.Status, sol.Gap)
+			return nil, nil, fmt.Errorf("sdp solver: %v (gap %.2g)", sol.Status, sol.Gap)
 		}
-		b.noteSolution(sol, pairs)
+		b.noteSolution(sol, rows)
 		z := sol.X[0].Clone()
 		z.Symmetrize()
 		if !b.opt.LazyConstraints || round >= lazyMaxRounds {
-			return z, sol, pairs, have, nil
+			return z, sol, nil
 		}
-		viol := b.violatedPairs(z, have, 4*b.n)
-		if len(viol) == 0 {
-			pairs, have = b.dropSlackPairs(z, pairs, have)
-			return z, sol, pairs, have, nil
+		viol := b.violatedPairs(z, b.pairs.have, 4*b.n)
+		violB := b.violatedBounds(z, b.bounds.have)
+		if len(viol) == 0 && len(violB) == 0 {
+			b.pairs.dropFar(func(p pair) bool { return b.pairSlack(z, p) > 0.5*b.bound(p) })
+			if sol.Status == sdp.StatusOptimal {
+				b.bounds.dropFar(func(bd bound) bool { return b.boundSlack(z, bd) > boundFar*b.boundExtent(bd) })
+			}
+			return z, sol, nil
 		}
-		for _, p := range viol {
-			have[p] = true
-			delete(b.slackCount, p)
-		}
-		pairs = append(pairs, viol...)
+		b.pairs.add(viol)
+		b.bounds.add(violB)
 	}
-}
-
-// dropSlackPairs removes working-set pairs whose constraint has been far
-// from active for three consecutive convex iterations. The hysteresis
-// prevents oscillation; dropped pairs that tighten again are re-added by the
-// violation scan, so the final solution remains feasible for every pair.
-func (b *builder) dropSlackPairs(z *linalg.Dense, pairs []pair, have map[pair]bool) ([]pair, map[pair]bool) {
-	if b.slackCount == nil {
-		b.slackCount = make(map[pair]int)
-	}
-	kept := pairs[:0]
-	for _, p := range pairs {
-		slack := b.pairSlack(z, p)
-		if slack > 0.5*b.bound(p) {
-			b.slackCount[p]++
-		} else {
-			b.slackCount[p] = 0
-		}
-		if b.slackCount[p] >= 3 {
-			delete(have, p)
-			delete(b.slackCount, p)
-			continue
-		}
-		kept = append(kept, p)
-	}
-	return kept, have
 }
 
 // solveProblem dispatches one sub-problem-1 solve, seeding it from the
 // recorded previous solution (projected onto the current working set) unless
 // warm starting is disabled.
-func (b *builder) solveProblem(prob *sdp.Problem, pairs []pair) (*sdp.Solution, error) {
+func (b *builder) solveProblem(prob *sdp.Problem, rows rowSet) (*sdp.Solution, error) {
 	b.subSolves++
 	var x0, s0 []*linalg.Dense
 	var y0, xlp0, slp0 []float64
 	if w := b.warm; w != nil && w.sol != nil && !b.opt.NoWarmStart {
-		if y0, xlp0, slp0 = b.projectWarm(w, pairs); y0 != nil {
+		if y0, xlp0, slp0 = b.projectWarm(w, rows); y0 != nil {
 			x0, s0 = b.warmBlocks(w.sol)
 		}
 	}
@@ -402,7 +373,7 @@ func (b *builder) solveProblem(prob *sdp.Problem, pairs []pair) (*sdp.Solution, 
 			if b.warm == nil {
 				b.warm = &warmState{}
 			}
-			opt.Reuse = b.warm.reuseFor(pairs)
+			opt.Reuse = b.warm.reuseFor(rows)
 		}
 		sol, err = sdp.SolveIPM(prob, opt)
 	}

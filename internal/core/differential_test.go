@@ -24,10 +24,10 @@ func TestDifferentialIPMvsADMM(t *testing.T) {
 		opt := Options{Workers: 1}
 		opt.setDefaults()
 		bld := newBuilder(nl, &opt)
-		pairs := bld.allPairs()
+		rows := rowSet{pairs: bld.allPairs()}
 		bt := netlist.BuildB(bld.baseA, 1)
 		alpha := maxf(0.5, meanDiagonal(bt)/4)
-		prob := bld.buildProblem(bld.objectiveC(bt, linalg.Identity(bld.dim), alpha), pairs)
+		prob := bld.buildProblem(bld.objectiveC(bt, linalg.Identity(bld.dim), alpha), rows)
 
 		ipm, err := sdp.SolveIPM(prob, sdp.IPMOptions{})
 		if err != nil {

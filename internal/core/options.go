@@ -15,9 +15,9 @@
 // Manhattan-distance B matrix (Eq. 20), its hyper-edge extension, boundary
 // pins (Eq. 21), fixed outlines, pre-placed-module constraints (Eqs. 22–24),
 // and the non-square adaptive distance constraints (Eqs. 25–26). A lazy
-// working-set over the O(n²) distance constraints keeps larger instances
-// tractable without changing the solution (the final iterate is feasible
-// for every pair).
+// working set over the O(n²) distance constraints and the 4n fixed-outline
+// bounds keeps larger instances tractable without changing the solution
+// (the final iterate is feasible for every pair and every bound).
 package core
 
 import (
@@ -93,8 +93,13 @@ type Options struct {
 	DistanceCaps []DistanceCap
 
 	// LazyConstraints activates working-set constraint generation over the
-	// O(n²) distance constraints (at most lazyMaxRounds rounds per
-	// sub-problem-1 solve). Strongly recommended for n ≥ 60.
+	// O(n²) distance constraints and the 4n fixed-outline bounds (at most
+	// lazyMaxRounds rounds per sub-problem-1 solve). Pairs start from the
+	// 3n most strongly connected ones; outline bounds all start in the set.
+	// A row leaves after dropAfter consecutive convex iterations far from
+	// active — an outline bound only after solves that reached tolerance —
+	// and re-enters when the iterate violates it. Strongly recommended for
+	// n ≥ 60.
 	LazyConstraints bool
 
 	// Solver picks the sub-problem-1 SDP solver (default IPM).

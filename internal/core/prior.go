@@ -76,18 +76,18 @@ func priorZ(centers []geom.Point) *linalg.Dense {
 }
 
 // seedWarmFromPrior installs a synthetic warm-start record at the prior
-// iterate, as if a previous sub-problem solve over pairs had terminated at
+// iterate, as if a previous sub-problem solve over rows had terminated at
 // zp. Primal LP slacks are evaluated exactly against the constraint rows
 // (clamped away from the cone boundary); the dual is left at a neutral
 // point (S = I, y = 0) — the IPM blends toward the interior and test-
 // factorizes before trusting it, and the ADMM consumes the blocks
 // piecewise, so a synthetic dual can slow the first solve but never
 // corrupt it.
-func (b *builder) seedWarmFromPrior(zp *linalg.Dense, pairs []pair) {
+func (b *builder) seedWarmFromPrior(zp *linalg.Dense, rows rowSet) {
 	if b.opt.NoWarmStart {
 		return
 	}
-	prob := b.buildProblem(linalg.NewDense(b.dim, b.dim), pairs)
+	prob := b.buildProblem(linalg.NewDense(b.dim, b.dim), rows)
 	xlp := make([]float64, prob.LPDim)
 	slp := make([]float64, prob.LPDim)
 	for i := range slp {
@@ -117,6 +117,6 @@ func (b *builder) seedWarmFromPrior(zp *linalg.Dense, pairs []pair) {
 			S:      []*linalg.Dense{linalg.Identity(b.dim)},
 			SLP:    slp,
 		},
-		pairs: append([]pair(nil), pairs...),
+		rows: rows.clone(),
 	}
 }

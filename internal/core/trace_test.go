@@ -35,7 +35,7 @@ func TestSolveTraceInterleavesSolvers(t *testing.T) {
 			for _, f := range ev.Fields {
 				fields[f.Key] = f.Val
 			}
-			for _, key := range []string{"alpha", "obj", "wz", "trZ", "cons", "solverIters"} {
+			for _, key := range []string{"alpha", "obj", "wz", "trZ", "cons", "bounds", "solverIters"} {
 				if _, ok := fields[key]; !ok {
 					t.Fatalf("core iter missing field %q: %+v", key, ev.Fields)
 				}

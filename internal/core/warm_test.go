@@ -36,19 +36,17 @@ func subProblemParity(t *testing.T, nl *netlist.Netlist, kind SolverKind, lazy b
 	}
 	opt.setDefaults()
 	bld := newBuilder(nl, &opt)
-	var pairs []pair
+	rows := rowSet{pairs: bld.allPairs(), bounds: bld.allBounds()}
 	if lazy {
-		pairs = bld.seedPairs()
-	} else {
-		pairs = bld.allPairs()
+		rows.pairs = bld.seedPairs()
 	}
 	bt := netlist.BuildB(bld.baseA, 1)
 	alpha := maxf(0.5, meanDiagonal(bt)/4)
 
 	// Iterate 1: cold by construction (nothing recorded yet).
 	c1 := bld.objectiveC(bt, linalg.Identity(bld.dim), alpha)
-	prob1 := bld.buildProblem(c1, pairs)
-	first, err := bld.solveProblem(prob1, pairs)
+	prob1 := bld.buildProblem(c1, rows)
+	first, err := bld.solveProblem(prob1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +59,7 @@ func subProblemParity(t *testing.T, nl *netlist.Netlist, kind SolverKind, lazy b
 	if err := sdp.CheckKKT(prob1, first, kktTol); err != nil {
 		t.Fatalf("iterate 1 kkt: %v", err)
 	}
-	bld.noteSolution(first, pairs)
+	bld.noteSolution(first, rows)
 
 	// Iterate 2: the direction matrix moves, the constraints stay.
 	z := first.X[0].Clone()
@@ -71,8 +69,8 @@ func subProblemParity(t *testing.T, nl *netlist.Netlist, kind SolverKind, lazy b
 		t.Fatal(err)
 	}
 	c2 := bld.objectiveC(bt, w2, alpha)
-	prob2 := bld.buildProblem(c2, pairs)
-	warm, err := bld.solveProblem(prob2, pairs)
+	prob2 := bld.buildProblem(c2, rows)
+	warm, err := bld.solveProblem(prob2, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func subProblemParity(t *testing.T, nl *netlist.Netlist, kind SolverKind, lazy b
 	}
 	optCold.setDefaults()
 	bc := newBuilder(nl, &optCold)
-	cold, err := bc.solveProblem(bc.buildProblem(c2, pairs), pairs)
+	cold, err := bc.solveProblem(bc.buildProblem(c2, rows), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +127,24 @@ func TestSubProblemWarmColdParityADMMChain(t *testing.T) {
 }
 
 // TestSubProblemWarmAcrossWorkingSetChange — the projection must survive the
-// lazy working set growing between solves: the prior iterate is mapped onto
-// the new constraint rows and the added pairs get fresh slack variables.
+// lazy working set changing between solves: the prior iterate is mapped onto
+// the new constraint rows by identity, and the added pairs and outline rows
+// get fresh slack variables.
 func TestSubProblemWarmAcrossWorkingSetChange(t *testing.T) {
-	nl := builtinNL(t, "n10")
-	opt := Options{Workers: 1}
+	d, err := gsrc.Builtin("n10", 1, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Workers: 1, Outline: &d.Outline}
 	opt.setDefaults()
-	bld := newBuilder(nl, &opt)
-	all := bld.allPairs()
-	seed := all[:len(all)-3]
+	bld := newBuilder(d.Netlist, &opt)
+	all := rowSet{pairs: bld.allPairs(), bounds: bld.allBounds()}
+	// Three pairs and module 1's four outline rows (mid-block, so the rows
+	// after them shift) are missing from the seed set.
+	seed := rowSet{
+		pairs:  all.pairs[:len(all.pairs)-3],
+		bounds: append(append([]bound(nil), all.bounds[:4]...), all.bounds[8:]...),
+	}
 
 	bt := netlist.BuildB(bld.baseA, 1)
 	alpha := maxf(0.5, meanDiagonal(bt)/4)
@@ -152,8 +159,8 @@ func TestSubProblemWarmAcrossWorkingSetChange(t *testing.T) {
 	}
 	bld.noteSolution(first, seed)
 
-	// Same objective, three pairs added: the projected warm start must still
-	// be consumed and the solution must still certify.
+	// Same objective, rows added: the projected warm start must still be
+	// consumed and the solution must still certify.
 	grown, err := bld.solveProblem(bld.buildProblem(c, all), all)
 	if err != nil {
 		t.Fatal(err)

@@ -8,28 +8,29 @@ import (
 // warmState carries solver state across the sub-problem-1 solve sequence of
 // one convex-iteration run. Consecutive SDPs differ only in the objective
 // (direction matrix, adaptive B) and in a slowly changing working set of
-// pair constraints, so the previous solution is an excellent starting point
-// for the next solve: the PSD block and its dual slack carry over directly
-// (the block dimension n+2 never changes), while the multipliers and LP
-// slacks are projected onto the new constraint layout. The IPM additionally
-// keeps an assembly/equilibration cache for runs of solves with an unchanged
-// working set. The ADMM penalty is deliberately NOT resumed: the terminal
-// adapted penalty is tuned for the previous problem's endgame and measurably
-// slows — in bad cases stalls — the transient on the changed objective,
-// while re-adapting from the default recovers quickly from the warm iterate.
+// pair and outline rows, so the previous solution is an excellent starting
+// point for the next solve: the PSD block and its dual slack carry over
+// directly (the block dimension n+2 never changes), while the multipliers
+// and LP slacks are projected onto the new constraint layout. The IPM
+// additionally keeps an assembly/equilibration cache for runs of solves with
+// an unchanged working set. The ADMM penalty is deliberately NOT resumed: the
+// terminal adapted penalty is tuned for the previous problem's endgame and
+// measurably slows — in bad cases stalls — the transient on the changed
+// objective, while re-adapting from the default recovers quickly from the
+// warm iterate.
 type warmState struct {
-	sol   *sdp.Solution // last usable solution (duals against the original problem)
-	pairs []pair        // working set that solution was solved with
+	sol  *sdp.Solution // last usable solution (duals against the original problem)
+	rows rowSet        // working set that solution was solved with
 
-	reuse      *sdp.IPMReuse // constraint-assembly cache (IPM only)
-	reusePairs []pair        // working set the cache was built for
+	reuse     *sdp.IPMReuse // constraint-assembly cache (IPM only)
+	reuseRows rowSet        // working set the cache was built for
 }
 
 // noteSolution records sol as the warm-start source for the next solve.
 // Solutions from failed or cancelled solves are not recorded; iterate-limit
 // terminations are — their iterate is inexact but still far closer to the
 // next solution than a cold start.
-func (b *builder) noteSolution(sol *sdp.Solution, pairs []pair) {
+func (b *builder) noteSolution(sol *sdp.Solution, rows rowSet) {
 	if b.opt.NoWarmStart || sol == nil {
 		return
 	}
@@ -42,7 +43,7 @@ func (b *builder) noteSolution(sol *sdp.Solution, pairs []pair) {
 		b.warm = &warmState{}
 	}
 	b.warm.sol = sol
-	b.warm.pairs = append([]pair(nil), pairs...) // snapshot: caller mutates its slice
+	b.warm.rows = rows.clone() // snapshot: the working set is edited in place
 }
 
 // prefixCons returns the number of constraints buildProblem emits before the
@@ -58,83 +59,79 @@ func (b *builder) prefixCons() int {
 	return 3 + 2*f + f*(f+1)/2
 }
 
-// suffixCons returns the number of constraints (each with one LP slack)
-// buildProblem emits after the pair block: distance caps, then four outline
-// bounds per non-fixed module.
-func (b *builder) suffixCons() int {
-	s := len(b.opt.DistanceCaps)
-	if b.opt.Outline != nil {
-		for _, m := range b.nl.Modules {
-			if !m.Fixed {
-				s += 4
-			}
-		}
-	}
-	return s
-}
-
 // projectWarm maps the previous solution's dual vector and LP block onto the
 // constraint layout of the new working set. buildProblem's ordering is
-// [prefix | one row+slack per pair | suffix], with prefix and suffix
-// invariant across solves, so rows map by position there and by pair
-// identity in the middle. A pair new to the working set gets multiplier 0
-// and a primal slack read off the current iterate (so A(X) ≈ b holds on the
-// fresh row); dropped pairs simply lose their entries. Returns nils when the
-// recorded solution does not match the expected layout (e.g. it came from a
-// differently configured builder), which cold-starts the solve.
-func (b *builder) projectWarm(w *warmState, pairs []pair) (y, xlp, slp []float64) {
+// [prefix | one row+slack per pair | distance caps | one row+slack per
+// outline bound]. The prefix and the caps never change, so their rows map
+// by position; pairs and bounds map by identity. A row new to the working
+// set gets multiplier 0 and a primal slack read off the current iterate (so
+// A(X) ≈ b holds on the fresh row); dropped rows simply lose their entries.
+// Returns nils when the recorded solution does not match the expected layout
+// (e.g. it came from a differently configured builder), which cold-starts
+// the solve.
+func (b *builder) projectWarm(w *warmState, rows rowSet) (y, xlp, slp []float64) {
 	prev := w.sol
-	pre, suf := b.prefixCons(), b.suffixCons()
-	p0, p1 := len(w.pairs), len(pairs)
-	if len(prev.Y) != pre+p0+suf || len(prev.XLP) != p0+suf || len(prev.SLP) != p0+suf {
+	pre, caps := b.prefixCons(), len(b.opt.DistanceCaps)
+	p0, p1 := len(w.rows.pairs), len(rows.pairs)
+	lp0 := p0 + caps + len(w.rows.bounds)
+	lp1 := p1 + caps + len(rows.bounds)
+	if len(prev.Y) != pre+lp0 || len(prev.XLP) != lp0 || len(prev.SLP) != lp0 {
 		return nil, nil, nil
 	}
-	idx := make(map[pair]int, p0)
-	for i, pr := range w.pairs {
-		idx[pr] = i
-	}
-	y = make([]float64, pre+p1+suf)
-	xlp = make([]float64, p1+suf)
-	slp = make([]float64, p1+suf)
+	y = make([]float64, pre+lp1)
+	xlp = make([]float64, lp1)
+	slp = make([]float64, lp1)
 	copy(y[:pre], prev.Y[:pre])
 	z := prev.X[0]
-	for t, pr := range pairs {
-		if t0, ok := idx[pr]; ok {
-			y[pre+t] = prev.Y[pre+t0]
-			xlp[t] = prev.XLP[t0]
-			slp[t] = prev.SLP[t0]
+	// carry copies LP row r0 of the previous solution (and its multiplier)
+	// into row r1; fresh starts a row new to the working set at slack v.
+	carry := func(r0, r1 int) {
+		y[pre+r1] = prev.Y[pre+r0]
+		xlp[r1], slp[r1] = prev.XLP[r0], prev.SLP[r0]
+	}
+	fresh := func(r1 int, v float64) {
+		xlp[r1], slp[r1] = maxf(v, 1e-8), 1
+	}
+	pairAt := indexOf(w.rows.pairs)
+	for t, pr := range rows.pairs {
+		if t0, ok := pairAt[pr]; ok {
+			carry(t0, t)
 		} else {
-			xlp[t] = maxf(b.pairSlack(z, pr), 1e-8)
-			slp[t] = 1
+			fresh(t, b.pairSlack(z, pr))
 		}
 	}
-	copy(y[pre+p1:], prev.Y[pre+p0:])
-	copy(xlp[p1:], prev.XLP[p0:])
-	copy(slp[p1:], prev.SLP[p0:])
+	for c := 0; c < caps; c++ {
+		carry(p0+c, p1+c)
+	}
+	boundAt := indexOf(w.rows.bounds)
+	for t, bd := range rows.bounds {
+		if t0, ok := boundAt[bd]; ok {
+			carry(p0+caps+t0, p1+caps+t)
+		} else {
+			fresh(p1+caps+t, b.boundSlack(z, bd))
+		}
+	}
 	return y, xlp, slp
 }
 
-// reuseFor returns the IPM assembly cache to pass for a solve over pairs,
-// rotating in a fresh handle whenever the working set changed (the cache is
-// only valid across solves with identical constraints; see sdp.IPMReuse).
-func (w *warmState) reuseFor(pairs []pair) *sdp.IPMReuse {
-	if w.reuse == nil || !pairsEqual(w.reusePairs, pairs) {
-		w.reuse = &sdp.IPMReuse{}
-		w.reusePairs = append([]pair(nil), pairs...)
+// indexOf maps each member of ks to its position.
+func indexOf[K comparable](ks []K) map[K]int {
+	idx := make(map[K]int, len(ks))
+	for i, k := range ks {
+		idx[k] = i
 	}
-	return w.reuse
+	return idx
 }
 
-func pairsEqual(a, b []pair) bool {
-	if len(a) != len(b) {
-		return false
+// reuseFor returns the IPM assembly cache to pass for a solve over rows,
+// rotating in a fresh handle whenever the working set changed (the cache is
+// only valid across solves with identical constraints; see sdp.IPMReuse).
+func (w *warmState) reuseFor(rows rowSet) *sdp.IPMReuse {
+	if w.reuse == nil || !w.reuseRows.equal(rows) {
+		w.reuse = &sdp.IPMReuse{}
+		w.reuseRows = rows.clone()
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return w.reuse
 }
 
 // warmBlocks returns clones-by-reference of the previous PSD iterate and its

@@ -108,7 +108,7 @@ func TestFig5aOutput(t *testing.T) {
 	if len(lines) != 8 { // n10 × 2 alphas × 4 iterations
 		t.Fatalf("expected 8 convergence rows:\n%s", out)
 	}
-	const want = "c0fc7a77cf0ac08fc1e013b2537a44e4bd08e0e720c2767a5f7e069aefc9ebee"
+	const want = "edfe559922cff70a45c6b86c5f46da79a1681af90d7b9f2f746933c9d1ecb3bc"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
 		t.Fatalf("fig5a CSV sha256 %s, want %s:\n%s", got, want, out)
 	}

@@ -50,8 +50,8 @@ type Options struct {
 	// fallback.
 	Context context.Context
 	// Trace, when non-nil and enabled, receives "lbfgs" events from the
-	// shape-optimization rounds (and "ipm" events from SOCPShapes); see
-	// internal/trace.
+	// shape-optimization rounds, the fallback annealer's "sa" events when it
+	// runs (and "ipm" events from SOCPShapes); see internal/trace.
 	Trace trace.Recorder
 }
 
@@ -168,6 +168,7 @@ func Legalize(nl *netlist.Netlist, centers []geom.Point, opt Options) (*Result, 
 			Init:    &sp,
 			T0Scale: 0.15,
 			Context: opt.Context,
+			Trace:   opt.Trace,
 		})
 		if err == nil && sa.Feasible {
 			res = &Result{
@@ -202,6 +203,9 @@ type shaper struct {
 	topoY   []int
 	orig    []geom.Point // the global centers the graphs were built from
 	desired []geom.Point // preferred centers (updated by smoothOptimize)
+	// expP, expN hold one net's per-module exponentials between lseHPWL's
+	// sum and gradient passes.
+	expP, expN []float64
 }
 
 func newShaper(nl *netlist.Netlist, g constraintGraphs, opt Options) *shaper {
@@ -282,12 +286,7 @@ func (sh *shaper) smoothObjective(v, g []float64, mu, gamma float64) float64 {
 	for i := range g {
 		g[i] = 0
 	}
-	// HPWL over centers.
-	centers := make([]geom.Point, n)
-	for i := 0; i < n; i++ {
-		centers[i] = geom.Point{X: v[3*i], Y: v[3*i+1]}
-	}
-	f := sh.lseHPWL(centers, gamma, g)
+	f := sh.lseHPWL(v, gamma, g)
 
 	hinge := func(d float64) (float64, float64) { // value, derivative wrt d
 		if d <= 0 {
@@ -358,19 +357,14 @@ func (sh *shaper) smoothObjective(v, g []float64, mu, gamma float64) float64 {
 }
 
 // lseHPWL accumulates the smoothed HPWL gradient on the center variables
-// (stride 3).
-func (sh *shaper) lseHPWL(centers []geom.Point, gamma float64, g []float64) float64 {
+// of v (stride 3: x, y, width). The sum pass keeps each module pin's two
+// exponentials in the shaper's scratch, and the gradient pass reuses them.
+func (sh *shaper) lseHPWL(v []float64, gamma float64, g []float64) float64 {
 	total := 0.0
 	for _, e := range sh.nl.Nets {
 		for axis := 0; axis < 2; axis++ {
 			var vmax, vmin float64
 			first := true
-			coord := func(m int) float64 {
-				if axis == 0 {
-					return centers[m].X
-				}
-				return centers[m].Y
-			}
 			padCoord := func(p int) float64 {
 				if axis == 0 {
 					return sh.nl.Pads[p].Pos.X
@@ -378,22 +372,22 @@ func (sh *shaper) lseHPWL(centers []geom.Point, gamma float64, g []float64) floa
 				return sh.nl.Pads[p].Pos.Y
 			}
 			for _, m := range e.Modules {
-				v := coord(m)
-				if first || v > vmax {
-					vmax = v
+				c := v[3*m+axis]
+				if first || c > vmax {
+					vmax = c
 				}
-				if first || v < vmin {
-					vmin = v
+				if first || c < vmin {
+					vmin = c
 				}
 				first = false
 			}
 			for _, p := range e.Pads {
-				v := padCoord(p)
-				if first || v > vmax {
-					vmax = v
+				c := padCoord(p)
+				if first || c > vmax {
+					vmax = c
 				}
-				if first || v < vmin {
-					vmin = v
+				if first || c < vmin {
+					vmin = c
 				}
 				first = false
 			}
@@ -401,18 +395,23 @@ func (sh *shaper) lseHPWL(centers []geom.Point, gamma float64, g []float64) floa
 				continue
 			}
 			var sumP, sumN float64
+			expP, expN := sh.expP[:0], sh.expN[:0]
 			for _, m := range e.Modules {
-				sumP += math.Exp((coord(m) - vmax) / gamma)
-				sumN += math.Exp((vmin - coord(m)) / gamma)
+				c := v[3*m+axis]
+				ep := math.Exp((c - vmax) / gamma)
+				en := math.Exp((vmin - c) / gamma)
+				sumP += ep
+				sumN += en
+				expP = append(expP, ep)
+				expN = append(expN, en)
 			}
+			sh.expP, sh.expN = expP, expN
 			for _, p := range e.Pads {
 				sumP += math.Exp((padCoord(p) - vmax) / gamma)
 				sumN += math.Exp((vmin - padCoord(p)) / gamma)
 			}
-			for _, m := range e.Modules {
-				dP := math.Exp((coord(m)-vmax)/gamma) / sumP
-				dN := math.Exp((vmin-coord(m))/gamma) / sumN
-				g[3*m+axis] += e.Weight * (dP - dN)
+			for k, m := range e.Modules {
+				g[3*m+axis] += e.Weight * (expP[k]/sumP - expN[k]/sumN)
 			}
 			total += e.Weight * (gamma*(math.Log(sumP)+math.Log(sumN)) + (vmax - vmin))
 		}

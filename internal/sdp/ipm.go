@@ -701,13 +701,27 @@ func factorSchur(w *linalg.CholWork, schur *linalg.Dense, workers int) (*linalg.
 // holds the LP part of the Schur complement, Σ_i a_ki a_li xᵢ/sᵢ, as one
 // term per matching coefficient pair with l ≤ k: only rows that share an
 // LP variable contribute, which for the floorplan problem (one slack per
-// inequality) is just the diagonal. The layout depends only on the
-// constraint set, so IPMReuse caches it across solves.
+// inequality) is just the diagonal. r1 marks the rows whose PSD part is
+// the rank-one c·d dᵀ, d = e_a − e_b, on one block (the floorplan's
+// distance rows): the Schur element of two such rows on the same block is a
+// product of two bilinear forms, four lookups each, instead of an entry-pair
+// sum. The layout depends only on the constraint set, so IPMReuse caches it
+// across solves.
 type conLayout struct {
 	ents  []schurEntry
 	off   [][]int  // block b, constraint k: ents[off[b][k]:off[b][k+1]]
 	lp    []lpTerm // row k's terms, by column then coefficient order
 	lpOff []int    // row k: lp[lpOff[k]:lpOff[k+1]]
+	r1    []rankOne
+}
+
+// rankOne describes a constraint whose PSD part is c·d dᵀ with
+// d = e_a − e_b on block blk (blk < 0: the row is not of that form). an and
+// bn are the row offsets a·n and b·n into the block's storage.
+type rankOne struct {
+	c            float64
+	blk          int
+	a, b, an, bn int
 }
 
 // schurEntry is one expanded constraint entry A[I][J] = V of an n×n block,
@@ -752,8 +766,10 @@ func newConLayout(p *Problem) *conLayout {
 		}
 		lay.off[bidx] = off
 	}
+	lay.r1 = make([]rankOne, m)
 	for k := range p.Cons {
 		c := &p.Cons[k]
+		lay.r1[k] = asRankOne(c, p.PSDDims)
 		for l := 0; l <= k; l++ {
 			for _, e := range c.LP {
 				for _, f := range p.Cons[l].LP {
@@ -766,6 +782,50 @@ func newConLayout(p *Problem) *conLayout {
 		lay.lpOff = append(lay.lpOff, len(lay.lp))
 	}
 	return lay
+}
+
+// asRankOne recognizes a constraint whose only PSD block holds exactly the
+// three entries of c·d dᵀ with d = e_a − e_b — (a, a, c), (b, b, c) and
+// (a, b, −c), in any order and orientation — and returns blk −1 for any
+// other constraint.
+func asRankOne(c *Constraint, dims []int) rankOne {
+	none := rankOne{blk: -1}
+	blk := -1
+	for bidx, es := range c.PSD {
+		if len(es) == 0 {
+			continue
+		}
+		if blk >= 0 {
+			return none
+		}
+		blk = bidx
+	}
+	if blk < 0 || len(c.PSD[blk]) != 3 {
+		return none
+	}
+	var diag [2]Entry
+	var off Entry
+	nDiag, nOff := 0, 0
+	for _, e := range c.PSD[blk] {
+		if e.I != e.J {
+			off = e
+			nOff++
+		} else if nDiag < 2 {
+			diag[nDiag] = e
+			nDiag++
+		}
+	}
+	v := diag[0].V
+	//sdpvet:ignore floateq the product form must reproduce the entries exactly, so equal means bit-equal
+	if nDiag != 2 || nOff != 1 || v == 0 || diag[1].V != v || off.V != -v {
+		return none
+	}
+	a, b := off.I, off.J
+	if !(diag[0].I == a && diag[1].I == b) && !(diag[0].I == b && diag[1].I == a) {
+		return none
+	}
+	n := dims[blk]
+	return rankOne{c: v, blk: blk, a: a, b: b, an: a * n, bn: b * n}
 }
 
 // formSchur builds M_kl = Σ_blocks tr(A_l X A_k S⁻¹) + Σ_i a_ki a_li xᵢ/sᵢ
@@ -788,6 +848,9 @@ func (st *ipmState) formSchur() *linalg.Dense {
 // complement. Blocks are the outer loop so each block's row-k entries and
 // matrices are loaded once per row; element (k, l) still accumulates from
 // 0 over the blocks in order and then the LP terms, as the formula reads.
+// When rows k and l are both rank-one on the block (conLayout.r1), the
+// block's term is c_k·c_l·(d_lᵀ X d_k)(d_kᵀ S⁻¹ d_l); every other element
+// takes the entry-pair sum.
 //
 //sdpvet:hotpath
 func (st *ipmState) schurRows(klo, khi int) {
@@ -795,14 +858,22 @@ func (st *ipmState) schurRows(klo, khi int) {
 	for k := klo; k < khi; k++ {
 		row := st.schur.Row(k)[:k+1]
 		clear(row)
+		rk := &lay.r1[k]
 		for bidx, off := range lay.off {
 			ek := lay.ents[off[k]:off[k+1]]
 			sk, xk := st.sinv[bidx].Data, st.x[bidx].Data
+			kOne := rk.blk == bidx
 			lo := off[0]
 			for l, hi := range off[1 : k+2] {
 				v := row[l]
 				el := lay.ents[lo:hi]
 				lo = hi
+				if rl := &lay.r1[l]; kOne && rl.blk == bidx {
+					dxd := xk[rl.an+rk.a] - xk[rl.an+rk.b] - xk[rl.bn+rk.a] + xk[rl.bn+rk.b]
+					dsd := sk[rk.an+rl.a] - sk[rk.an+rl.b] - sk[rk.bn+rl.a] + sk[rk.bn+rl.b]
+					row[l] = v + rk.c*rl.c*dxd*dsd
+					continue
+				}
 				for _, e := range el {
 					for _, f := range ek {
 						// tr(A_l X A_k S⁻¹) term: S⁻¹[f.J, e.I] · X[e.J, f.I]
