@@ -15,6 +15,11 @@ var benchSink float64
 
 var benchSizes = []int{64, 128, 256}
 
+// cholBenchSizes adds n512 for the factorization: the Schur complement of
+// the n30's first α round grows to m = 533, and that factor dominates the
+// interior-point time of an n30 Place.
+var cholBenchSizes = []int{64, 128, 256, 512}
+
 func benchWorkerCounts() []int { return []int{1, 4} }
 
 func BenchmarkMatMul(b *testing.B) {
@@ -60,7 +65,7 @@ func BenchmarkMulABt(b *testing.B) {
 }
 
 func BenchmarkCholesky(b *testing.B) {
-	for _, n := range benchSizes {
+	for _, n := range cholBenchSizes {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randSPD(rng, n)
 		for _, w := range benchWorkerCounts() {

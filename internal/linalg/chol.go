@@ -211,14 +211,17 @@ func (c *Cholesky) trailRows(lo, hi int) {
 	}
 }
 
-// dotPrefix4 computes x·y for four y streams in one pass over x (5 loads
-// per 4 multiply-adds). Uses a 2-way accumulator pattern per output, which
-// differs in rounding from dotPrefix — fine for the trailing update, where
-// every element is produced by exactly this kernel (or the dotPrefix tail)
-// independent of worker count.
+// dotPrefix4Go computes x·y for four y streams in one pass over x (5 loads
+// per 4 multiply-adds): the scalar reference for dotPrefix4 and its only
+// implementation outside amd64 and under -race. Each output keeps two
+// accumulators, even k in a0 and odd k in a1, an odd tail goes into a0, and
+// the result is a0 + a1. That rounds differently from dotPrefix, which is
+// fine for the trailing update: every element of it comes from this
+// pattern (or the dotPrefix tail) independent of worker count, and the
+// packed amd64 kernel reproduces the pattern bit for bit (dot_amd64.s).
 //
 //sdpvet:hotpath
-func dotPrefix4(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
+func dotPrefix4Go(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
 	n := len(x)
 	y0 = y0[:n]
 	y1 = y1[:n]
@@ -269,15 +272,17 @@ func dotPrefix(x, y []float64) float64 {
 	return s0 + s1 + s2 + s3
 }
 
-// dotPrefix2 computes x·y and x·z in one pass over x. Dot products are
-// load-limited, so sharing the x stream across two outputs (3 loads per 2
-// multiply-adds instead of 4) is worth ~30% on the blocked kernels. Each
-// output uses exactly the accumulator pattern of dotPrefix, so results are
-// bitwise identical to two separate dotPrefix calls — with x in either
-// argument position, since x[k]·y[k] and y[k]·x[k] round identically.
+// dotPrefix2Go computes x·y and x·z in one pass over x: the scalar
+// reference for dotPrefix2 and its only implementation outside amd64 and
+// under -race. Dot products are load-limited, so sharing the x stream
+// across two outputs (3 loads per 2 multiply-adds instead of 4) is worth
+// ~30% on the blocked kernels. Each output uses exactly the accumulator
+// pattern of dotPrefix, so results are bitwise identical to two separate
+// dotPrefix calls — with x in either argument position, since x[k]·y[k]
+// and y[k]·x[k] round identically.
 //
 //sdpvet:hotpath
-func dotPrefix2(x, y, z []float64) (float64, float64) {
+func dotPrefix2Go(x, y, z []float64) (float64, float64) {
 	n := len(x)
 	y = y[:n]
 	z = z[:n]
