@@ -48,14 +48,15 @@ race:
 # direction right-hand side bits, the sha256 of the n10 SDP Place trace
 # plus its HPWL bits, a fixed-α convex iteration that the stall exit must
 # leave untouched, and the legalizer's rects and HPWL bits on the builtin
-# n10 and n30 with and without its fallback, and the packed SSE2 dot
-# kernels against their scalar references. Every pin was captured before
+# n10 and n30 with and without its fallback, the packed SSE2 dot kernels
+# against their scalar references, and the AVX Cholesky kernels and the
+# factor they give against the portable path. Every pin was captured before
 # the kernels it guards were last rewritten, so an optimization that
 # changes a single output bit fails a named test here instead of surfacing
 # as HPWL drift in the end-to-end benchmark. No -race: the pins check
 # values, not scheduling.
 identity:
-	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden|TestFixedAlphaIgnoresStall|TestLegalizeGolden|TestDotKernelsMatchScalar)$$' . ./internal/linalg ./internal/sdp ./internal/core ./internal/legalize
+	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden|TestFixedAlphaIgnoresStall|TestLegalizeGolden|TestDotKernelsMatchScalar|TestTileKernelsMatchScalar|TestCholeskyTilesMatchPortable)$$' . ./internal/linalg ./internal/sdp ./internal/core ./internal/legalize
 
 # portfolio-race mirrors CI's portfolio determinism gate: every
 # portfolio/cancellation test twice, shuffled, under the race detector —

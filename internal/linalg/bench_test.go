@@ -15,10 +15,12 @@ var benchSink float64
 
 var benchSizes = []int{64, 128, 256}
 
-// cholBenchSizes adds n512 for the factorization: the Schur complement of
-// the n30's first α round grows to m = 533, and that factor dominates the
-// interior-point time of an n30 Place.
-var cholBenchSizes = []int{64, 128, 256, 512}
+// cholBenchSizes adds n512 and n533 for the factorization: the Schur
+// complement of the n30's first α round grows to m = 533, and that factor
+// dominates the interior-point time of an n30 Place. n533 also has a
+// 21-column last panel and trailing blocks that do not split into whole
+// four-row blocks.
+var cholBenchSizes = []int{64, 128, 256, 512, 533}
 
 func benchWorkerCounts() []int { return []int{1, 4} }
 

@@ -88,8 +88,10 @@ func (w *CholWork) dim() int {
 // the panel below it (rows independent → parallel.For), and applies the
 // symmetric rank-nb trailing update (triangular row sweep → parallel.ForTri).
 // The diagonal block and the panel solve take their rows in pairs sharing
-// the pivot-row stream (dotPrefix2); every element keeps its dotPrefix
-// accumulation, so pairing does not change a bit of the factor.
+// the pivot-row stream (dotPrefix2), and where the CPU has AVX the panel
+// solve and the trailing update take them in fours (panelBlock,
+// trailTiles); every element keeps its accumulation pattern, so the
+// grouping does not change a bit of the factor.
 //
 //sdpvet:hotpath
 func (c *Cholesky) factor(a *Dense, workers int) error {
@@ -160,12 +162,20 @@ func (c *Cholesky) factor(a *Dense, workers int) error {
 }
 
 // panelRows solves rows [k1+lo, k1+hi) of the current panel against the
-// freshly factorized diagonal block, two rows per pass over the pivot rows.
+// freshly factorized diagonal block: four rows per AVX kernel call where
+// the CPU has AVX, then two rows per pass over the pivot rows. Every
+// element keeps its dotPrefix accumulation, so the grouping does not
+// change a bit.
 //
 //sdpvet:hotpath
 func (c *Cholesky) panelRows(lo, hi int) {
 	l, k0, k1 := c.L, c.k0, c.k1
 	i := k1 + lo
+	if useAVX {
+		for ; i+3 < k1+hi; i += 4 {
+			panelBlock(l, i, k0, k1)
+		}
+	}
 	for ; i+1 < k1+hi; i += 2 {
 		lrowi, lrowi1 := l.Row(i), l.Row(i+1)
 		for j := k0; j < k1; j++ {
@@ -186,28 +196,56 @@ func (c *Cholesky) panelRows(lo, hi int) {
 
 // trailRows applies the symmetric trailing update for rows
 // [k1+lo, k1+hi): L[i][j] −= L[i][k0:k1]·L[j][k0:k1] for k1 ≤ j ≤ i.
-// Columns are fused four at a time over the shared pi stream; fusing does
-// not change any element's accumulation, so the update is bitwise identical
-// for every worker count.
+// Row i takes its columns four at a time over the shared pi stream
+// (dotPrefix4's two-lane rounding) while four fit, then one at a time
+// (dotPrefix's), so (i, j) is two-lane iff j−k1 < 4⌊(i−k1+1)/4⌋. That
+// rule fixes each element's rounding independent of the chunking, so the
+// update is bitwise identical for every worker count.
+//
+// Where the CPU has AVX, the rows go in blocks of four. A block starting
+// at chunk row r shares its first t = 4⌊(r+1)/4⌋ columns, two-lane in all
+// four rows; the 4×4 tile kernel computes them, and each row finishes
+// from column k1+t as before.
 //
 //sdpvet:hotpath
 func (c *Cholesky) trailRows(lo, hi int) {
+	r := lo
+	if useAVX {
+		for ; r+4 <= hi; r += 4 {
+			t := (r + 1) &^ 3
+			if t > 0 {
+				trailTiles(c.L, c.k1+r, c.k0, c.k1, t)
+			}
+			for q := r; q < r+4; q++ {
+				c.trailRow(q, t)
+			}
+		}
+	}
+	for ; r < hi; r++ {
+		c.trailRow(r, 0)
+	}
+}
+
+// trailRow updates row k1+r of the trailing block over columns
+// [k1+from, k1+r], from a multiple of 4: four columns per dotPrefix4 call
+// while four fit, then one per dotPrefix call.
+//
+//sdpvet:hotpath
+func (c *Cholesky) trailRow(r, from int) {
 	l, k0, k1 := c.L, c.k0, c.k1
-	for r := lo; r < hi; r++ {
-		i := k1 + r
-		lrowi := l.Row(i)
-		pi := lrowi[k0:k1]
-		j := k1
-		for ; j+3 <= i; j += 4 {
-			a, b, c2, d := dotPrefix4(pi, l.Row(j)[k0:k1], l.Row(j + 1)[k0:k1], l.Row(j + 2)[k0:k1], l.Row(j + 3)[k0:k1])
-			lrowi[j] -= a
-			lrowi[j+1] -= b
-			lrowi[j+2] -= c2
-			lrowi[j+3] -= d
-		}
-		for ; j <= i; j++ {
-			lrowi[j] -= dotPrefix(pi, l.Row(j)[k0:k1])
-		}
+	i := k1 + r
+	lrowi := l.Row(i)
+	pi := lrowi[k0:k1]
+	j := k1 + from
+	for ; j+3 <= i; j += 4 {
+		a, b, c2, d := dotPrefix4(pi, l.Row(j)[k0:k1], l.Row(j + 1)[k0:k1], l.Row(j + 2)[k0:k1], l.Row(j + 3)[k0:k1])
+		lrowi[j] -= a
+		lrowi[j+1] -= b
+		lrowi[j+2] -= c2
+		lrowi[j+3] -= d
+	}
+	for ; j <= i; j++ {
+		lrowi[j] -= dotPrefix(pi, l.Row(j)[k0:k1])
 	}
 }
 
@@ -218,7 +256,8 @@ func (c *Cholesky) trailRows(lo, hi int) {
 // the result is a0 + a1. That rounds differently from dotPrefix, which is
 // fine for the trailing update: every element of it comes from this
 // pattern (or the dotPrefix tail) independent of worker count, and the
-// packed amd64 kernel reproduces the pattern bit for bit (dot_amd64.s).
+// packed amd64 kernel and the AVX tile kernel reproduce the pattern bit
+// for bit (dot_amd64.s).
 //
 //sdpvet:hotpath
 func dotPrefix4Go(x, y0, y1, y2, y3 []float64) (float64, float64, float64, float64) {
