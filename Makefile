@@ -49,14 +49,17 @@ race:
 # plus its HPWL bits, a fixed-α convex iteration that the stall exit must
 # leave untouched, and the legalizer's rects and HPWL bits on the builtin
 # n10 and n30 with and without its fallback, the packed SSE2 dot kernels
-# against their scalar references, and the AVX Cholesky kernels and the
-# factor they give against the portable path. Every pin was captured before
+# against their scalar references, the AVX Cholesky kernels and the
+# factor they give against the portable path, the annealer's results on
+# the n10 and n30 (it decides the n30's layout as the legalizer's last
+# resort), and the HPWL evaluator against Netlist.HPWL and its SSE2 kernel
+# against its Go loop. Every pin was captured before
 # the kernels it guards were last rewritten, so an optimization that
 # changes a single output bit fails a named test here instead of surfacing
 # as HPWL drift in the end-to-end benchmark. No -race: the pins check
 # values, not scheduling.
 identity:
-	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden|TestFixedAlphaIgnoresStall|TestLegalizeGolden|TestDotKernelsMatchScalar|TestTileKernelsMatchScalar|TestCholeskyTilesMatchPortable)$$' . ./internal/linalg ./internal/sdp ./internal/core ./internal/legalize
+	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden|TestFixedAlphaIgnoresStall|TestLegalizeGolden|TestDotKernelsMatchScalar|TestTileKernelsMatchScalar|TestCholeskyTilesMatchPortable|TestSolveGolden|TestHPWLEvalMatchesHPWL|TestHPWLKernelMatchesGo)$$' . ./internal/linalg ./internal/sdp ./internal/core ./internal/legalize ./internal/anneal ./internal/netlist
 
 # portfolio-race mirrors CI's portfolio determinism gate: every
 # portfolio/cancellation test twice, shuffled, under the race detector —

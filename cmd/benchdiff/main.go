@@ -103,7 +103,7 @@ func usage() {
 
 // defaultPackages hold the kernel benchmarks the regression gate tracks; the
 // top-level experiment benches are too heavy and too noisy for a gate.
-var defaultPackages = []string{"./internal/linalg", "./internal/sdp", "./internal/anneal"}
+var defaultPackages = []string{"./internal/linalg", "./internal/sdp", "./internal/anneal", "./internal/netlist"}
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)

@@ -344,3 +344,94 @@ func TestPackWorkReuseMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// branchyFenwick is the compare-and-branch prefix-maximum tree fenwickMax
+// used before it took the builtin max, kept as the reference of
+// TestPackMatchesBranchy.
+type branchyFenwick struct{ tree []float64 }
+
+func (f *branchyFenwick) update(i int, v float64) {
+	for i++; i < len(f.tree); i += i & (-i) {
+		if f.tree[i] < v {
+			f.tree[i] = v
+		}
+	}
+}
+
+func (f *branchyFenwick) prefixMax(i int) float64 {
+	m := 0.0
+	for ; i > 0; i -= i & (-i) {
+		if f.tree[i] > m {
+			m = f.tree[i]
+		}
+	}
+	return m
+}
+
+// packBranchy is SeqPair.Pack over branchyFenwick.
+func packBranchy(sp SeqPair, w, h []float64) Packing {
+	n := len(sp.S1)
+	match := make([]int, n)
+	for pos, m := range sp.S1 {
+		match[m] = pos
+	}
+	p := Packing{X: make([]float64, n), Y: make([]float64, n)}
+	f := branchyFenwick{tree: make([]float64, n+1)}
+	for _, m := range sp.S2 {
+		pos := match[m]
+		x := f.prefixMax(pos)
+		p.X[m] = x
+		f.update(pos, x+w[m])
+		if x+w[m] > p.Width {
+			p.Width = x + w[m]
+		}
+	}
+	f = branchyFenwick{tree: make([]float64, n+1)}
+	for _, m := range sp.S2 {
+		pos := n - 1 - match[m]
+		y := f.prefixMax(pos)
+		p.Y[m] = y
+		f.update(pos, y+h[m])
+		if y+h[m] > p.Height {
+			p.Height = y + h[m]
+		}
+	}
+	return p
+}
+
+// TestPackMatchesBranchy checks Pack, whose Fenwick tree takes the
+// builtin max, against the compare-and-branch tree bit for bit on random
+// sequence pairs of 1–64 modules with finite positive dimensions: spread
+// over many magnitudes, or small integers so that equal prefix maxima tie.
+func TestPackMatchesBranchy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dim := func(ties bool) float64 {
+		if ties {
+			return float64(1 + rng.Intn(3))
+		}
+		return math.Ldexp(0.5+rng.Float64(), rng.Intn(40)-20)
+	}
+	for n := 1; n <= 64; n++ {
+		ws := NewPackWork(n)
+		w, h := make([]float64, n), make([]float64, n)
+		for trial := 0; trial < 40; trial++ {
+			sp := NewSeqPair(n)
+			rng.Shuffle(n, func(a, b int) { sp.S1[a], sp.S1[b] = sp.S1[b], sp.S1[a] })
+			rng.Shuffle(n, func(a, b int) { sp.S2[a], sp.S2[b] = sp.S2[b], sp.S2[a] })
+			ties := trial%2 == 1
+			for i := range w {
+				w[i], h[i] = dim(ties), dim(ties)
+			}
+			got, want := sp.Pack(w, h, ws), packBranchy(sp, w, h)
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if !same(got.Width, want.Width) || !same(got.Height, want.Height) {
+				t.Fatalf("n=%d trial %d: Pack %gx%g, branchy %gx%g", n, trial, got.Width, got.Height, want.Width, want.Height)
+			}
+			for i := range w {
+				if !same(got.X[i], want.X[i]) || !same(got.Y[i], want.Y[i]) {
+					t.Fatalf("n=%d trial %d module %d: Pack (%g,%g), branchy (%g,%g)", n, trial, i, got.X[i], got.Y[i], want.X[i], want.Y[i])
+				}
+			}
+		}
+	}
+}

@@ -48,17 +48,32 @@ type Netlist struct {
 	Nets    []Net
 }
 
-// Validate checks index ranges and positivity of areas and weights.
+// Validate checks index ranges, that areas, aspect bounds, weights and pad
+// positions are finite, and the positivity of areas and weights.
 func (nl *Netlist) Validate() error {
 	for i, m := range nl.Modules {
+		if !isFinite(m.MinArea) {
+			return fmt.Errorf("netlist: module %d (%s) has non-finite area %g", i, m.Name, m.MinArea)
+		}
 		if m.MinArea <= 0 {
 			return fmt.Errorf("netlist: module %d (%s) has non-positive area %g", i, m.Name, m.MinArea)
+		}
+		if !isFinite(m.MaxAspect) {
+			return fmt.Errorf("netlist: module %d (%s) has non-finite MaxAspect %g", i, m.Name, m.MaxAspect)
 		}
 		if m.MaxAspect < 1 {
 			return fmt.Errorf("netlist: module %d (%s) has MaxAspect %g < 1", i, m.Name, m.MaxAspect)
 		}
 	}
+	for i, p := range nl.Pads {
+		if !isFinite(p.Pos.X) || !isFinite(p.Pos.Y) {
+			return fmt.Errorf("netlist: pad %d (%s) has non-finite position (%g, %g)", i, p.Name, p.Pos.X, p.Pos.Y)
+		}
+	}
 	for i, e := range nl.Nets {
+		if !isFinite(e.Weight) {
+			return fmt.Errorf("netlist: net %d (%s) has non-finite weight %g", i, e.Name, e.Weight)
+		}
 		if e.Weight < 0 {
 			return fmt.Errorf("netlist: net %d (%s) has negative weight", i, e.Name)
 		}
@@ -83,6 +98,9 @@ func (nl *Netlist) Validate() error {
 	}
 	return nil
 }
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // N returns the number of modules.
 func (nl *Netlist) N() int { return len(nl.Modules) }

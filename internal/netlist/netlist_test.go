@@ -54,6 +54,41 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite checks that NaN and ±Inf areas, aspect
+// bounds, weights and pad coordinates are rejected: every comparison in
+// the positivity checks is false for NaN, and +Inf passes them.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(nl *Netlist)
+		want string
+	}{
+		{"NaN area", func(nl *Netlist) { nl.Modules[0].MinArea = nan }, "non-finite area"},
+		{"+Inf area", func(nl *Netlist) { nl.Modules[1].MinArea = inf }, "non-finite area"},
+		{"-Inf area", func(nl *Netlist) { nl.Modules[0].MinArea = -inf }, "non-finite area"},
+		{"NaN MaxAspect", func(nl *Netlist) { nl.Modules[0].MaxAspect = nan }, "non-finite MaxAspect"},
+		{"+Inf MaxAspect", func(nl *Netlist) { nl.Modules[1].MaxAspect = inf }, "non-finite MaxAspect"},
+		{"NaN weight", func(nl *Netlist) { nl.Nets[0].Weight = nan }, "non-finite weight"},
+		{"+Inf weight", func(nl *Netlist) { nl.Nets[0].Weight = inf }, "non-finite weight"},
+		{"NaN pad X", func(nl *Netlist) { nl.Pads[0].Pos.X = nan }, "non-finite position"},
+		{"-Inf pad Y", func(nl *Netlist) { nl.Pads[0].Pos.Y = -inf }, "non-finite position"},
+		{"+Inf unconnected pad", func(nl *Netlist) { nl.Pads = append(nl.Pads, Pad{Name: "q", Pos: geom.Point{X: inf}}) }, "pad 1 (q)"},
+	} {
+		nl := twoModuleNL()
+		nl.Pads = []Pad{{Name: "p", Pos: geom.Point{X: 1, Y: 2}}}
+		nl.Nets[0].Pads = []int{0}
+		if err := nl.Validate(); err != nil {
+			t.Fatalf("%s: the unedited netlist fails: %v", tc.name, err)
+		}
+		tc.edit(nl)
+		err := nl.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestAdjacencyTwoPin(t *testing.T) {
 	a := twoModuleNL().Adjacency()
 	if a.At(0, 1) != 2 || a.At(1, 0) != 2 || a.At(0, 0) != 0 {
