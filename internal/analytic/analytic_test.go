@@ -97,8 +97,9 @@ func TestLSEHPWLApproachesExact(t *testing.T) {
 	}
 	exact := nl.HPWL(centers)
 	g := make([]float64, 10)
-	coarse := lseHPWL(nl, xv, 1.0, g)
-	fine := lseHPWL(nl, xv, 0.01, g)
+	lse := netlist.NewLSEEval(nl, 2)
+	coarse := lse.Eval(xv, 1.0, g)
+	fine := lse.Eval(xv, 0.01, g)
 	// LSE overestimates and converges to the exact HPWL as γ → 0.
 	if fine < exact-1e-6 {
 		t.Fatalf("LSE(0.01) = %g below exact %g", fine, exact)
@@ -119,7 +120,8 @@ func TestLSEGradientFiniteDifference(t *testing.T) {
 		xv[i] = rng.Float64() * 4
 	}
 	g := make([]float64, 8)
-	lseHPWL(nl, xv, 0.5, g)
+	lse := netlist.NewLSEEval(nl, 2)
+	lse.Eval(xv, 0.5, g)
 	tmp := make([]float64, 8)
 	const h = 1e-6
 	for i := range xv {
@@ -130,11 +132,11 @@ func TestLSEGradientFiniteDifference(t *testing.T) {
 		for k := range tmp {
 			tmp[k] = 0
 		}
-		fp := lseHPWL(nl, xp, 0.5, tmp)
+		fp := lse.Eval(xp, 0.5, tmp)
 		for k := range tmp {
 			tmp[k] = 0
 		}
-		fm := lseHPWL(nl, xm, 0.5, tmp)
+		fm := lse.Eval(xm, 0.5, tmp)
 		fd := (fp - fm) / (2 * h)
 		if math.Abs(fd-g[i]) > 1e-4*(1+math.Abs(fd)) {
 			t.Fatalf("gradient[%d] = %g, fd %g", i, g[i], fd)

@@ -201,11 +201,9 @@ type shaper struct {
 	predV   [][]int
 	topoX   []int // modules sorted by original global x (topological for H)
 	topoY   []int
-	orig    []geom.Point // the global centers the graphs were built from
-	desired []geom.Point // preferred centers (updated by smoothOptimize)
-	// expP, expN hold one net's per-module exponentials between lseHPWL's
-	// sum and gradient passes.
-	expP, expN []float64
+	orig    []geom.Point     // the global centers the graphs were built from
+	desired []geom.Point     // preferred centers (updated by smoothOptimize)
+	lse     *netlist.LSEEval // the smoothed HPWL over (x, y, w) variables
 }
 
 func newShaper(nl *netlist.Netlist, g constraintGraphs, opt Options) *shaper {
@@ -218,6 +216,7 @@ func newShaper(nl *netlist.Netlist, g constraintGraphs, opt Options) *shaper {
 		x:    make([]float64, n), y: make([]float64, n),
 		succH: make([][]int, n), predH: make([][]int, n),
 		succV: make([][]int, n), predV: make([][]int, n),
+		lse: netlist.NewLSEEval(nl, 3),
 	}
 	for i, m := range nl.Modules {
 		sh.area[i] = m.MinArea
@@ -286,7 +285,7 @@ func (sh *shaper) smoothObjective(v, g []float64, mu, gamma float64) float64 {
 	for i := range g {
 		g[i] = 0
 	}
-	f := sh.lseHPWL(v, gamma, g)
+	f := sh.lse.Eval(v, gamma, g)
 
 	hinge := func(d float64) (float64, float64) { // value, derivative wrt d
 		if d <= 0 {
@@ -354,69 +353,6 @@ func (sh *shaper) smoothObjective(v, g []float64, mu, gamma float64) float64 {
 		g[3*i+2] += mu * dd
 	}
 	return f
-}
-
-// lseHPWL accumulates the smoothed HPWL gradient on the center variables
-// of v (stride 3: x, y, width). The sum pass keeps each module pin's two
-// exponentials in the shaper's scratch, and the gradient pass reuses them.
-func (sh *shaper) lseHPWL(v []float64, gamma float64, g []float64) float64 {
-	total := 0.0
-	for _, e := range sh.nl.Nets {
-		for axis := 0; axis < 2; axis++ {
-			var vmax, vmin float64
-			first := true
-			padCoord := func(p int) float64 {
-				if axis == 0 {
-					return sh.nl.Pads[p].Pos.X
-				}
-				return sh.nl.Pads[p].Pos.Y
-			}
-			for _, m := range e.Modules {
-				c := v[3*m+axis]
-				if first || c > vmax {
-					vmax = c
-				}
-				if first || c < vmin {
-					vmin = c
-				}
-				first = false
-			}
-			for _, p := range e.Pads {
-				c := padCoord(p)
-				if first || c > vmax {
-					vmax = c
-				}
-				if first || c < vmin {
-					vmin = c
-				}
-				first = false
-			}
-			if first {
-				continue
-			}
-			var sumP, sumN float64
-			expP, expN := sh.expP[:0], sh.expN[:0]
-			for _, m := range e.Modules {
-				c := v[3*m+axis]
-				ep := math.Exp((c - vmax) / gamma)
-				en := math.Exp((vmin - c) / gamma)
-				sumP += ep
-				sumN += en
-				expP = append(expP, ep)
-				expN = append(expN, en)
-			}
-			sh.expP, sh.expN = expP, expN
-			for _, p := range e.Pads {
-				sumP += math.Exp((padCoord(p) - vmax) / gamma)
-				sumN += math.Exp((vmin - padCoord(p)) / gamma)
-			}
-			for k, m := range e.Modules {
-				g[3*m+axis] += e.Weight * (expP[k]/sumP - expN[k]/sumN)
-			}
-			total += e.Weight * (gamma*(math.Log(sumP)+math.Log(sumN)) + (vmax - vmin))
-		}
-	}
-	return total
 }
 
 // longestPathX returns the left-packed positions and total width.
