@@ -64,6 +64,9 @@ func (nl *Netlist) Validate() error {
 		if m.MaxAspect < 1 {
 			return fmt.Errorf("netlist: module %d (%s) has MaxAspect %g < 1", i, m.Name, m.MaxAspect)
 		}
+		if m.Fixed && (!isFinite(m.FixedPos.X) || !isFinite(m.FixedPos.Y)) {
+			return fmt.Errorf("netlist: module %d (%s) has non-finite fixed position (%g, %g)", i, m.Name, m.FixedPos.X, m.FixedPos.Y)
+		}
 	}
 	for i, p := range nl.Pads {
 		if !isFinite(p.Pos.X) || !isFinite(p.Pos.Y) {

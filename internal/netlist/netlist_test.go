@@ -55,8 +55,9 @@ func TestValidate(t *testing.T) {
 }
 
 // TestValidateRejectsNonFinite checks that NaN and ±Inf areas, aspect
-// bounds, weights and pad coordinates are rejected: every comparison in
-// the positivity checks is false for NaN, and +Inf passes them.
+// bounds, weights, pad coordinates and fixed modules' positions are
+// rejected: every comparison in the positivity checks is false for NaN,
+// and +Inf passes them. A module that is not fixed may carry any FixedPos.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -74,6 +75,15 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"NaN pad X", func(nl *Netlist) { nl.Pads[0].Pos.X = nan }, "non-finite position"},
 		{"-Inf pad Y", func(nl *Netlist) { nl.Pads[0].Pos.Y = -inf }, "non-finite position"},
 		{"+Inf unconnected pad", func(nl *Netlist) { nl.Pads = append(nl.Pads, Pad{Name: "q", Pos: geom.Point{X: inf}}) }, "pad 1 (q)"},
+		{"NaN fixed X", func(nl *Netlist) {
+			nl.Modules[0].Fixed, nl.Modules[0].FixedPos = true, geom.Point{X: nan, Y: 1}
+		}, "non-finite fixed position"},
+		{"+Inf fixed Y", func(nl *Netlist) {
+			nl.Modules[1].Fixed, nl.Modules[1].FixedPos = true, geom.Point{X: 1, Y: inf}
+		}, "module 1"},
+		{"NaN and +Inf fixed", func(nl *Netlist) {
+			nl.Modules[0].Fixed, nl.Modules[0].FixedPos = true, geom.Point{X: nan, Y: inf}
+		}, "non-finite fixed position"},
 	} {
 		nl := twoModuleNL()
 		nl.Pads = []Pad{{Name: "p", Pos: geom.Point{X: 1, Y: 2}}}
@@ -86,6 +96,11 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+	nl := twoModuleNL()
+	nl.Modules[0].FixedPos = geom.Point{X: nan, Y: inf}
+	if err := nl.Validate(); err != nil {
+		t.Errorf("a non-finite FixedPos on a module that is not fixed: Validate() = %v, want nil", err)
 	}
 }
 
