@@ -3,9 +3,8 @@
 // For a solver trace — the JSONL written by sdpfloor -trace or fetched from
 // floorpland's /v1/jobs/{id}/trace — it prints one aggregate row per solver
 // (runs, warm-started runs, iterations, wall time from the event
-// timestamps, terminal statuses), a warm-vs-cold iterations-to-converge
-// comparison when a solver has both kinds of run, and a convergence table
-// of each solver's most recent run; for the core convex iteration, a table
+// timestamps, terminal statuses) and a convergence table of each
+// solver's most recent run; for the core convex iteration, a table
 // of its α rounds (α, iterations, exit reason, ⟨W,Z⟩) comes first. Concurrent runs (portfolio contenders)
 // are paired with their own events via the run id, and every portfolio
 // race gets a winner/contender table.
@@ -219,9 +218,8 @@ type solverAgg struct {
 	lastRun string     // its run id ("" for solo traces)
 	// Warm-start accounting, from the "warm" field on final events (runs
 	// whose final lacks the field — older traces, the core loop — count in
-	// neither bucket). Iterations-to-converge come from the final's Iter.
-	warmRuns, coldRuns   int
-	warmIters, coldIters int
+	// neither bucket).
+	warmRuns, coldRuns int
 }
 
 // contenderFinal is one portfolio contender's final event.
@@ -315,10 +313,8 @@ func run(in io.Reader, out io.Writer, solver string, tail int) error {
 			if found, isWarm := warmOf(ev); found {
 				if isWarm {
 					a.warmRuns++
-					a.warmIters += ev.Iter
 				} else {
 					a.coldRuns++
-					a.coldIters += ev.Iter
 				}
 			}
 			if ev.Solver == "portfolio" {
@@ -363,16 +359,6 @@ func run(in io.Reader, out io.Writer, solver string, tail int) error {
 			a.name, a.runs, warm, a.iters, fmtWall(a.wall), statusCounts(a.statuses))
 	}
 	tw.Flush()
-	for _, name := range order {
-		a := aggs[name]
-		if a.warmRuns == 0 || a.coldRuns == 0 || a.coldIters == 0 {
-			continue
-		}
-		aw := float64(a.warmIters) / float64(a.warmRuns)
-		ac := float64(a.coldIters) / float64(a.coldRuns)
-		fmt.Fprintf(out, "%s: warm runs averaged %.1f iterations to converge vs %.1f cold (%.0f%% saved)\n",
-			a.name, aw, ac, (1-aw/ac)*100)
-	}
 
 	writeRaces(out, races)
 

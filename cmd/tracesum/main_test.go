@@ -230,3 +230,27 @@ func TestRunCoreAlphaRounds(t *testing.T) {
 		}
 	}
 }
+
+// TestRunWarmColumnOnly checks that warm and cold finals are counted in
+// the table's warm column and that no warm-against-cold iteration average
+// is printed: in a default Place the cold run is the first sub-problem,
+// with another α and working set than the warm ones, so the comparison
+// would not measure what a warm start saves.
+func TestRunWarmColumnOnly(t *testing.T) {
+	in := `{"ts":1,"solver":"ipm","kind":"start","iter":0}
+{"ts":2,"solver":"ipm","kind":"final","iter":17,"status":"converged","warm":0}
+{"ts":3,"solver":"ipm","kind":"start","iter":0}
+{"ts":4,"solver":"ipm","kind":"final","iter":18,"status":"converged","warm":1}
+`
+	var out strings.Builder
+	if err := run(strings.NewReader(in), &out, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !regexp.MustCompile(`ipm\s+2\s+1/2\s+0\s`).MatchString(got) {
+		t.Errorf("want an ipm row of 2 runs, 1/2 warm:\n%s", got)
+	}
+	if strings.Contains(got, "saved") || strings.Contains(got, "averaged") {
+		t.Errorf("output compares warm with cold runs:\n%s", got)
+	}
+}
