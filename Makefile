@@ -52,14 +52,17 @@ race:
 # against their scalar references, the AVX Cholesky kernels and the
 # factor they give against the portable path, the annealer's results on
 # the n10 and n30 (it decides the n30's layout as the legalizer's last
-# resort), and the HPWL evaluator against Netlist.HPWL and its SSE2 kernel
-# against its Go loop. Every pin was captured before
+# resort), the HPWL evaluator against Netlist.HPWL and its SSE2 kernel
+# against its Go loop, the analytic placer's centers and HPWL on the n10
+# and n30, the packed AVX2 exp and log kernels against math.Exp and
+# math.Log, and the LSE wirelength evaluator against the two scalar
+# evaluators it replaced. Every pin was captured before
 # the kernels it guards were last rewritten, so an optimization that
 # changes a single output bit fails a named test here instead of surfacing
 # as HPWL drift in the end-to-end benchmark. No -race: the pins check
 # values, not scheduling.
 identity:
-	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden|TestFixedAlphaIgnoresStall|TestLegalizeGolden|TestDotKernelsMatchScalar|TestTileKernelsMatchScalar|TestCholeskyTilesMatchPortable|TestSolveGolden|TestHPWLEvalMatchesHPWL|TestHPWLKernelMatchesGo)$$' . ./internal/linalg ./internal/sdp ./internal/core ./internal/legalize ./internal/anneal ./internal/netlist
+	$(GO) test -count=1 -run '^(TestMinEigenvalueMatchesFactor|TestCholeskyGoldenBits|TestFormSchurGoldenBits|TestPlaceTraceGolden|TestFixedAlphaIgnoresStall|TestLegalizeGolden|TestDotKernelsMatchScalar|TestTileKernelsMatchScalar|TestCholeskyTilesMatchPortable|TestSolveGolden|TestHPWLEvalMatchesHPWL|TestHPWLKernelMatchesGo|TestAnalyticGolden|TestExpKernelMatchesMath|TestLogKernelMatchesMath|TestLSEEvalMatchesReference)$$' . ./internal/linalg ./internal/sdp ./internal/core ./internal/legalize ./internal/anneal ./internal/netlist ./internal/analytic
 
 # portfolio-race mirrors CI's portfolio determinism gate: every
 # portfolio/cancellation test twice, shuffled, under the race detector —
